@@ -13,11 +13,14 @@
 #ifndef RELC_BENCH_BENCHCOMMON_H
 #define RELC_BENCH_BENCHCOMMON_H
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace relcbench {
@@ -78,6 +81,57 @@ inline const char *argValue(int Argc, char **Argv, const char *Flag) {
       return std::strncmp(Argv[I + 1], "--", 2) == 0 ? nullptr : Argv[I + 1];
   return nullptr;
 }
+
+/// Strict positional arguments of a figure/table driver that takes at
+/// most \p MaxArgs of them, all numeric. --help prints \p Usage and
+/// exits 0; a surplus argument, a flag (a "--quick" is not a size), a
+/// malformed number or one out of range prints it and exits 2.
+class PositionalArgs {
+public:
+  PositionalArgs(int Argc, char **Argv, int MaxArgs, const char *Usage)
+      : Argc(Argc), Argv(Argv), Usage(Usage) {
+    for (int I = 1; I < Argc; ++I)
+      if (std::strcmp(Argv[I], "--help") == 0) {
+        std::fputs(Usage, stdout);
+        std::exit(0);
+      }
+    if (Argc - 1 > MaxArgs)
+      fail("unexpected argument '" + std::string(Argv[MaxArgs + 1]) + "'");
+  }
+
+  /// Argument \p I (1-based) in [\p Min, \p Max], or \p Default when
+  /// absent. Integral \p T takes only whole decimal numbers.
+  template <typename T> T get(int I, T Default, T Min, T Max) const {
+    if (I >= Argc)
+      return Default;
+    const char *V = Argv[I];
+    char *End = nullptr;
+    errno = 0;
+    double D = std::is_integral_v<T> ? double(std::strtoll(V, &End, 10))
+                                     : std::strtod(V, &End);
+    if (!*V || *End || errno == ERANGE || !(D >= double(Min)) ||
+        !(D <= double(Max)))
+      fail("argument " + std::to_string(I) + " must be a number in [" +
+           show(Min) + ", " + show(Max) + "], got '" + V + "'");
+    return static_cast<T>(D);
+  }
+
+private:
+  template <typename T> static std::string show(T V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%g", double(V));
+    return std::is_integral_v<T> ? std::to_string(V) : Buf;
+  }
+
+  [[noreturn]] void fail(const std::string &Why) const {
+    std::fprintf(stderr, "%s: %s\n%s", Argv[0], Why.c_str(), Usage);
+    std::exit(2);
+  }
+
+  int Argc;
+  char **Argv;
+  const char *Usage;
+};
 
 /// One measured benchmark series: a name plus named numeric metrics.
 /// Metrics are kept in insertion order so reports are diffable.

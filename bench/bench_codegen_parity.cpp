@@ -71,7 +71,8 @@ double runMix(size_t Ops, AddT &&Add, RemoveT &&Remove, UpdateT &&Update,
 } // namespace
 
 int main(int argc, char **argv) {
-  size_t Ops = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 200000;
+  PositionalArgs Args(argc, argv, 1, "usage: bench_codegen_parity [ops]\n");
+  size_t Ops = Args.get<size_t>(1, 200000, 1, size_t(1) << 40);
 
   // (a) hand-coded baseline.
   double BaseS;

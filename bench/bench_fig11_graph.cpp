@@ -83,12 +83,15 @@ double runVariant(const Decomposition &D,
 } // namespace
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 3,
+                      "usage: bench_fig11_graph [width [time-limit-s "
+                      "[max-map-edges]]]\n");
   RoadNetworkOptions Net;
-  Net.Width = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 40;
+  Net.Width = Args.get(1, 40u, 1u, 100000u);
   Net.Height = Net.Width;
-  double Limit = argc > 2 ? std::atof(argv[2]) : 1.0;
+  double Limit = Args.get(2, 1.0, 0.001, 1e6);
   EnumeratorOptions EOpts;
-  EOpts.MaxEdges = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 4;
+  EOpts.MaxEdges = Args.get(3, 4u, 1u, 64u);
   EOpts.MaxResults = 200;
 
   std::vector<RoadEdge> Edges = generateRoadNetwork(Net);

@@ -62,8 +62,9 @@ void run(const char *Name, Decomposition D,
 } // namespace
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 1, "usage: bench_fig12_sharing [width]\n");
   RoadNetworkOptions Net;
-  Net.Width = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 72;
+  Net.Width = Args.get(1, 72u, 1u, 100000u);
   Net.Height = Net.Width;
   std::vector<RoadEdge> Edges = generateRoadNetwork(Net);
   std::printf("# Figure 12: representative decompositions, %llu nodes / "

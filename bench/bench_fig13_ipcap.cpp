@@ -50,12 +50,15 @@ double replay(IpcapRelational &Daemon, const std::vector<Packet> &Trace,
 } // namespace
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 3,
+                      "usage: bench_fig13_ipcap [packets [time-limit-s "
+                      "[max-map-edges]]]\n");
   PacketTraceOptions TOpts;
   TOpts.NumPackets =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 300000;
-  double Limit = argc > 2 ? std::atof(argv[2]) : 2.0;
+      Args.get<size_t>(1, 300000, 1, size_t(1) << 32);
+  double Limit = Args.get(2, 2.0, 0.001, 1e6);
   EnumeratorOptions EOpts;
-  EOpts.MaxEdges = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 4;
+  EOpts.MaxEdges = Args.get(3, 4u, 1u, 64u);
   EOpts.MaxJoinWidth = 2;
   EOpts.MaxResults = 150;
 

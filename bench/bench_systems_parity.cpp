@@ -115,7 +115,8 @@ template <typename SchedT> double runScheduler(SchedT &S, size_t Ops) {
 } // namespace
 
 int main(int argc, char **argv) {
-  double Scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  PositionalArgs Args(argc, argv, 1, "usage: bench_systems_parity [scale]\n");
+  double Scale = Args.get(1, 1.0, 0.001, 1000.0);
 
   // --- IpCap -------------------------------------------------------------
   {

@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "decomp/Printer.h"
 #include "systems/IpcapRelational.h"
 #include "systems/SchedulerRelational.h"
@@ -60,7 +62,9 @@ size_t decompositionLoc(const Decomposition &D) {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  // No arguments: anything on the command line is a mistake.
+  relcbench::PositionalArgs Args(argc, argv, 0, "usage: bench_table1_loc\n");
   std::printf("# Table 1: non-comment lines of code, hand-coded module vs "
               "synthesized module + decomposition\n");
   std::printf("# (stand-ins: src/baselines = the original modules, "

@@ -83,10 +83,6 @@ struct EmitterOptions {
   /// Shard column of the emitted facade; defaults to
   /// ShardRouter::defaultShardColumn of the decomposition.
   std::optional<ColumnId> ConcurrentShardColumn;
-  /// Also emit `<ClassName>_wire`, a constexpr dispatch table mapping
-  /// relserved wire opcodes (src/server/Wire.h) to the facade methods
-  /// that implement them — the `wire` directive. Requires a facade.
-  bool WireDispatch = false;
   CostParams Params;
 };
 

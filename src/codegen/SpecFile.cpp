@@ -152,13 +152,6 @@ public:
                                         std::string(Line) + "'"
                                   : Err);
         PendingTransacts.push_back({P.Line, P.Col, ColsText, Arity});
-      } else if (consumeWord(Rest, "wire")) {
-        if (!trim(Rest).empty())
-          return fail(LineNo, colOf(trim(Rest)),
-                      "the wire directive takes no arguments");
-        Out.Options.WireDispatch = true;
-        WireLine = LineNo;
-        WireCol = colOf(Line);
       } else if (consumeWord(Rest, "concurrency")) {
         std::string Err;
         if (!parseConcurrency(LineNo, Raw.data(), Rest, Err))
@@ -268,11 +261,6 @@ public:
                     "unknown shard column '" + ShardColumnName + "'");
       Out.Options.ConcurrentShardColumn = *Id;
     }
-    if (Out.Options.WireDispatch && Out.Options.ConcurrentShards == 0)
-      return fail(WireLine, WireCol,
-                  "the wire directive requires a concurrency facade "
-                  "(the dispatch table targets <class>_concurrent)");
-
     return finish();
   }
 
@@ -431,8 +419,6 @@ private:
   unsigned FirstLetCol = 0;
   unsigned ConcurrencyLine = 0;
   unsigned ConcurrencyCol = 1;
-  unsigned WireLine = 0;
-  unsigned WireCol = 1;
   SpecFile Out;
 };
 

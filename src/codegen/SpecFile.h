@@ -26,7 +26,6 @@
 ///   upsert ns, pid
 ///   transaction ns, pid x 3
 ///   concurrency sharded 8 on ns
-///   wire
 ///
 /// `upsert` emits the atomic read-modify-write pair lookup_by_/
 /// upsert_by_ for a key pattern; `concurrency sharded <N> [on <col>]`
@@ -37,10 +36,7 @@
 /// transact<N>_by_ for a key pattern (multi-key transactions under
 /// two-phase locking over exactly the owning shard stripes — it
 /// therefore requires a facade, which the relc tool enforces). The
-/// arity defaults to 2 (the transfer shape) and caps at 8. A bare
-/// `wire` additionally emits `<class>_wire`, a constexpr dispatch
-/// table mapping relserved wire opcodes to the facade methods that
-/// implement them (requires `concurrency`).
+/// arity defaults to 2 (the transfer shape) and caps at 8.
 ///
 /// Lines starting with `#` are comments. Directives may appear in any
 /// order except that `relation`/`fd` must precede the `let` bindings.

@@ -9,6 +9,14 @@
 // virtual dispatch, and query/removal code specialized from the
 // planner's chosen plans instead of the CPS interpreter in Exec.cpp.
 //
+// The sharded `<class>_concurrent` facade is not emitted as a copy of
+// the interpreted one. Both instantiate relc::ShardedFacade
+// (concurrent/ShardedFacade.h), which owns the stripes, epoch gates,
+// size counter, copy-on-write snapshots and parallel fan-out; this
+// backend emits only what the spec decides — the constexpr shardOf
+// over the shard column and one short typed wrapper per facade op,
+// each a lambda handed to a core read or write helper.
+//
 // This backend is a visitor over ir::Module::Ops. It chooses syntax
 // only: the op list is final (lowering + MethodDedup +
 // DeadIndexElimination decided it) and every facade op arrives with a
@@ -21,7 +29,6 @@
 
 #include <cassert>
 #include <cctype>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
@@ -87,8 +94,6 @@ public:
     closeClass();
     if (M.hasFacade())
       emitConcurrentFacade();
-    if (M.WireDispatch)
-      emitWireDispatch();
     closeFile();
     return W.take();
   }
@@ -275,22 +280,14 @@ private:
     W.line("#include \"ds/IntrusiveList.h\"");
     W.line("#include \"ds/VectorMap.h\"");
     W.line("#include \"support/Arena.h\"");
-    if (M.hasFacade()) {
-      W.line("#include \"concurrent/BoundedQueue.h\"");
-      W.line("#include \"concurrent/Epoch.h\"");
-      W.line("#include \"concurrent/ScanPool.h\"");
-      W.line("#include \"concurrent/StripedLock.h\"");
-    }
+    if (M.hasFacade())
+      W.line("#include \"concurrent/ShardedFacade.h\"");
     W.line("#include \"support/Hashing.h\"");
     W.line();
     W.line("#include <array>");
-    if (M.hasFacade())
-      W.line("#include <atomic>");
     W.line("#include <cassert>");
     W.line("#include <cstddef>");
     W.line("#include <cstdint>");
-    if (M.hasFacade())
-      W.line("#include <memory>");
     if (M.hasTransactions())
       W.line("#include <type_traits>");
     W.line("#include <vector>");
@@ -922,15 +919,19 @@ private:
   }
 
   //===------------------------------------------------------------------===
-  // The sharded concurrent facade (the static mirror of
-  // src/concurrent/ConcurrentRelation; see docs/CONCURRENCY.md).
+  // The sharded concurrent facade: one short typed wrapper per facade
+  // op over relc::ShardedFacade<Seq> (concurrent/ShardedFacade.h), the
+  // core it shares with the interpreted ConcurrentRelation. A wrapper
+  // routes its arguments (the constexpr shardOf) and hands a lambda to
+  // the core's read or write helper; the stripes, epoch gates, size
+  // counter, COW snapshots and parallel fan-out live in the core.
   //===------------------------------------------------------------------===
 
+  std::string seqRef() const { return M.ClassName + " &Sh"; }
+
   void emitConcurrentFacade() {
-    ColumnSet All = D.spec()->columns();
-    ColumnId SC = M.ShardColumn;
-    assert(SC < Cat.size() && "shard column is not a column");
-    std::string SCName = Cat.name(SC);
+    assert(M.ShardColumn < Cat.size() && "shard column is not a column");
+    std::string SCName = Cat.name(M.ShardColumn);
     std::string Seq = M.ClassName;
     std::string Fac = M.ClassName + "_concurrent";
 
@@ -939,52 +940,31 @@ private:
            "is hash-");
     W.line("/// partitioned across NumShards " + Seq +
            " sub-instances by column");
-    W.line("/// '" + SCName + "', one reader-writer stripe per shard. "
-           "Operations whose");
-    W.line("/// pattern binds the shard column take exactly one stripe; "
-           "the rest");
-    W.line("/// fan out (reads per shard in turn, mutations under all "
-           "writer locks");
-    W.line("/// in ascending order). Reads are wait-free on the common "
-           "path: an");
-    W.line("/// epoch read-side section (relc::EpochGuard) plus a check "
-           "of the");
-    W.line("/// shard's writer gate replaces the reader lock, which is "
-           "taken only");
-    W.line("/// while a writer holds the gate. Writers drain overlapping "
-           "sections");
-    W.line("/// with relc::EpochWriterFence before mutating. The lock "
-           "discipline,");
-    W.line("/// visibility guarantees, and the no-reentrant-callback rule "
-           "mirror the");
-    W.line("/// interpreted relc::ConcurrentRelation (docs/CONCURRENCY.md).");
-    W.line("/// Shard state is copy-on-write: snapshot() freezes the "
-           "current shard");
-    W.line("/// set behind a refcounted handle in O(NumShards), writers "
-           "clone a");
-    W.line("/// pinned shard before touching it, and frozen shards are "
-           "reclaimed");
-    W.line("/// through the process epoch manager once unpinned.");
+    W.line("/// '" + SCName + "'. Operations whose pattern binds the shard "
+           "column take");
+    W.line("/// one stripe; the rest fan out. Each method hands a typed "
+           "body to");
+    W.line("/// relc::ShardedFacade (concurrent/ShardedFacade.h), which owns "
+           "the");
+    W.line("/// locking, the wait-free read path, copy-on-write snapshots "
+           "and the");
+    W.line("/// parallel fan-out, shared with the interpreted");
+    W.line("/// relc::ConcurrentRelation (docs/CONCURRENCY.md).");
     W.open("class " + Fac + " {");
     W.line("public:");
     W.line("  static constexpr unsigned NumShards = " +
            std::to_string(M.Shards) + ";");
-    W.open("  " + Fac + "() {");
-    W.line("for (auto &S : Shards)");
-    W.line("  S = std::make_shared<" + Seq + ">();");
-    W.line("for (auto &P : Pins)");
-    W.line("  P = std::make_shared<std::atomic<size_t>>(0);");
-    W.close("}");
+    W.line("  using Snapshot = relc::ShardedFacade<" + Seq + ">::Snapshot;");
+    W.line("  " + Fac + "() = default;");
     W.line("  " + Fac + "(const " + Fac + " &) = delete;");
     W.line("  " + Fac + " &operator=(const " + Fac + " &) = delete;");
     W.line("  /// Lock-free; exact whenever it does not race a mutation.");
-    W.line("  size_t size() const { return Size.load("
-           "std::memory_order_relaxed); }");
+    W.line("  size_t size() const { return Core.size(); }");
     W.line("  bool empty() const { return size() == 0; }");
     W.line("  /// Direct shard access for tests and benches; the caller is");
     W.line("  /// responsible for exclusion.");
     W.line("  const " + Seq + " &shard(unsigned I) const "
-           "{ return *Shards[I]; }");
+           "{ return Core.shard(I); }");
 
     for (const MethodOp &Op : M.Ops) {
       if (Op.Where != Layer::Facade)
@@ -992,22 +972,20 @@ private:
       assert(Op.Lock.Mode != LockPlan::Unset &&
              "facade op without a lock plan — run the pass pipeline");
       switch (Op.Kind) {
-      case OpKind::Insert:
+      case OpKind::Insert: {
         // insert: full tuples always bind the shard column.
+        ColumnSet All = D.spec()->columns();
         W.line();
         W.line("  /// insert r t, routed to the owning shard under its "
                "writer lock.");
         W.open("  bool insert(" + params(All, "v_") + ") {");
-        W.line("unsigned S = shardOf(v_" + SCName + ");");
-        W.line("auto Lock = Locks.exclusive(S);");
-        W.line("relc::EpochWriterFence Fence(Gates[S]);");
-        W.line("bool Changed = writable(S).insert(" + colList(All, "v_") +
-               ");");
-        W.line("if (Changed)");
-        W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-        W.line("return Changed;");
+        W.open("return Core.writeOne(shardOf(v_" + SCName + "), [&](" +
+               seqRef() + ") {");
+        W.line("return Sh.insert(" + colList(All, "v_") + ");");
+        W.close("});");
         W.close("}");
         break;
+      }
       case OpKind::Query:
         emitFacadeQuery(Op, SCName);
         break;
@@ -1028,25 +1006,8 @@ private:
         break;
       case OpKind::Clear:
         W.line();
-        W.line("  /// Empties every shard (all writer locks). Shards pinned "
-               "by a");
-        W.line("  /// snapshot handle are replaced fresh and retired, not "
-               "reset");
-        W.line("  /// in place.");
-        W.open("  void clear() {");
-        W.line("relc::AllShardsGuard Guard(Locks);");
-        W.line("relc::EpochWriterFence Fence = fenceAll();");
-        W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-        W.open("if (Pins[S]->load(std::memory_order_acquire) == 0) {");
-        W.line("Shards[S]->clear();");
-        W.line("continue;");
-        W.close("}");
-        W.line("retireShard(std::move(Shards[S]));");
-        W.line("Shards[S] = std::make_shared<" + Seq + ">();");
-        W.line("Pins[S] = std::make_shared<std::atomic<size_t>>(0);");
-        W.close("}");
-        W.line("Size.store(0, std::memory_order_relaxed);");
-        W.close("}");
+        W.line("  /// Empties every shard (all writer locks).");
+        W.line("  void clear() { Core.clear(); }");
         break;
       case OpKind::LookupBy:
         assert(false && "lookup_by_* is never a facade op");
@@ -1055,330 +1016,77 @@ private:
     }
 
     W.line();
-    W.line("  /// A consistent point-in-time view of the whole relation: "
-           "the");
-    W.line("  /// shard set frozen by snapshot(). Holding a handle pins "
-           "the");
-    W.line("  /// frozen shards — writers copy-on-write around them — and");
-    W.line("  /// reads against it need no locks at all.");
-    W.open("  class Snapshot {");
-    W.line("public:");
-    W.line("  Snapshot() = default;");
-    W.line("  /// Copies share the pinned generation: the source already "
-           "holds");
-    W.line("  /// every count >= 1, so relaxed increments suffice.");
-    W.open("  Snapshot(const Snapshot &O) : Count(O.Count) {");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Shards[S] = O.Shards[S];");
-    W.line("Pins[S] = O.Pins[S];");
-    W.line("if (Pins[S])");
-    W.line("  Pins[S]->fetch_add(1, std::memory_order_relaxed);");
-    W.close("}");
-    W.close("}");
-    W.open("  Snapshot &operator=(const Snapshot &O) {");
-    W.open("if (this != &O) {");
-    W.line("Snapshot Tmp(O);");
-    W.line("*this = std::move(Tmp);");
-    W.close("}");
-    W.line("return *this;");
-    W.close("}");
-    W.line("  Snapshot(Snapshot &&O) noexcept = default;");
-    W.open("  Snapshot &operator=(Snapshot &&O) noexcept {");
-    W.open("if (this != &O) {");
-    W.line("unpinAll();");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Shards[S] = std::move(O.Shards[S]);");
-    W.line("Pins[S] = std::move(O.Pins[S]);");
-    W.close("}");
-    W.line("Count = O.Count;");
-    W.close("}");
-    W.line("return *this;");
-    W.close("}");
-    W.line("  ~Snapshot() { unpinAll(); }");
-    W.line("  bool valid() const { return Shards[0] != nullptr; }");
-    W.line("  size_t size() const { return Count; }");
-    W.line("  bool empty() const { return Count == 0; }");
-    W.line("  const " + Seq + " &shard(unsigned I) const "
-           "{ return *Shards[I]; }");
-    W.line("  /// Visits every row (ascending column order), shard by "
-           "shard.");
-    W.open("  template <typename FnT> void scanRows(FnT &&Emit) const {");
-    W.line("for (const auto &S : Shards)");
-    W.line("  S->scanRows(Emit);");
-    W.close("}");
+    W.line("  /// A consistent point-in-time view of the whole relation in");
+    W.line("  /// O(NumShards): the handle pins the current shards, writers");
+    W.line("  /// copy-on-write around them, and reads need no locks.");
+    W.line("  Snapshot snapshot() const { return Core.snapshot(); }");
     W.line();
     W.line("private:");
-    W.line("  friend class " + Fac + ";");
-    W.line("  /// Release-decrements pair with writable()'s acquire probe: "
-           "a");
-    W.line("  /// writer that reads zero happens-after every read this "
-           "handle");
-    W.line("  /// made of the pinned state.");
-    W.open("  void unpinAll() {");
-    W.line("for (const auto &P : Pins)");
-    W.line("  if (P)");
-    W.line("    P->fetch_sub(1, std::memory_order_release);");
-    W.close("}");
-    W.line("  std::shared_ptr<const " + Seq + "> Shards[NumShards];");
-    W.line("  std::shared_ptr<std::atomic<size_t>> Pins[NumShards];");
-    W.line("  size_t Count = 0;");
-    W.close("};");
-    W.line();
-    W.line("  /// O(NumShards), no per-tuple work: under a brief all-stripe");
-    W.line("  /// SHARED acquisition the shard pointers are copied into the");
-    W.line("  /// handle. Writers landing afterwards clone pinned shards");
-    W.line("  /// before mutating, so the view never moves; the frozen "
-           "state");
-    W.line("  /// is handed to the process epoch manager when the last "
-           "handle");
-    W.line("  /// drops.");
-    W.open("  Snapshot snapshot() const {");
-    W.line("relc::AllShardsGuard Guard(Locks, "
-           "relc::AllShardsGuard::Shared);");
-    W.line("Snapshot Snap;");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Snap.Shards[S] = Shards[S];");
-    W.line("Snap.Pins[S] = Pins[S];");
-    W.line("// The only 0 -> 1 transition: writers are excluded by the");
-    W.line("// shared stripe hold, so relaxed suffices here — the edge");
-    W.line("// writers need comes from the handle's release decrement.");
-    W.line("Snap.Pins[S]->fetch_add(1, std::memory_order_relaxed);");
-    W.close("}");
-    W.line("Snap.Count = Size.load(std::memory_order_relaxed);");
-    W.line("return Snap;");
-    W.close("}");
-    W.line();
-    W.line("private:");
-    W.line("  /// Rows per chunk of *_parallel queries: result rows cross "
-           "the");
-    W.line("  /// merge queue in batches so the queue mutex is taken once "
-           "per");
-    W.line("  /// chunk, not once per row.");
-    W.line("  static constexpr size_t ScanChunkRows = 128;");
-    W.line("  /// Slots (chunks) in the bounded merge queue.");
-    W.line("  static constexpr size_t ScanQueueChunks = 8;");
     W.open("  static unsigned shardOf(int64_t V) {");
     W.line("return static_cast<unsigned>(relc::hashMix64("
            "static_cast<uint64_t>(V)) % NumShards);");
     W.close("}");
-    W.line("  /// Runs Body over shard S: wait-free inside an epoch "
-           "section when");
-    W.line("  /// the shard's writer gate is down, else under the shard's "
-           "reader");
-    W.line("  /// lock (the fallback every new reader takes while a "
-           "writer");
-    W.line("  /// fence is up). Body must not block or mutate the facade.");
-    W.open("  template <typename BodyT> void readShard(unsigned S, "
-           "BodyT &&Body) const {");
-    W.open("{");
-    W.line("relc::EpochGuard Guard(&Gates[S]);");
-    W.open("if (!Gates[S].writerActive()) {");
-    W.line("Body();");
-    W.line("return;");
-    W.close("}");
-    W.close("}");
-    W.line("auto Lock = Locks.shared(S);");
-    W.line("Body();");
-    W.close("}");
-    W.line("  /// Raises every shard gate and drains the overlapping "
-           "wait-free");
-    W.line("  /// read sections; the caller holds all writer locks.");
-    W.open("  relc::EpochWriterFence fenceAll() {");
-    W.line("return relc::EpochWriterFence(Gates, AllShardIdx, NumShards);");
-    W.close("}");
-    emitAllShardIdx();
-    W.line("  /// The COW write-side hook: every mutation reaches its "
-           "shard");
-    W.line("  /// through this. An unpinned shard (pin count 0) passes");
-    W.line("  /// through untouched — the steady-state fast path. A pinned");
-    W.line("  /// one is cloned row by row and the frozen original retired.");
-    W.line("  /// Sound because the caller holds the shard's writer stripe:");
-    W.line("  /// 0 -> 1 happens only under snapshot()'s all-stripe SHARED");
-    W.line("  /// hold (excluded here), handle copies increment counts "
-           "their");
-    W.line("  /// source keeps >= 1, and drops release-decrement — so an");
-    W.line("  /// acquire load of zero happens-after every read a dropped");
-    W.line("  /// handle made, making in-place mutation race-free.");
-    W.open("  " + Seq + " &writable(unsigned S) {");
-    W.line("std::shared_ptr<" + Seq + "> &Cur = Shards[S];");
-    W.line("if (Pins[S]->load(std::memory_order_acquire) == 0)");
-    W.line("  return *Cur;");
-    W.line("auto Fresh = std::make_shared<" + Seq + ">();");
-    W.open("Cur->scanRows([&](" +
-           params(D.spec()->columns(), "v_") + ") {");
-    W.line("Fresh->insert(" + colList(D.spec()->columns(), "v_") + ");");
-    W.close("});");
-    W.line("retireShard(std::move(Cur));");
-    W.line("Cur = std::move(Fresh);");
-    W.line("// A new pin generation: handles keep their detached counter;");
-    W.line("// the live slot starts unpinned again.");
-    W.line("Pins[S] = std::make_shared<std::atomic<size_t>>(0);");
-    W.line("return *Cur;");
-    W.close("}");
-    W.line("  /// Hands a frozen shard to the process epoch manager: it is");
-    W.line("  /// freed once every in-flight epoch reader has moved on AND");
-    W.line("  /// the last snapshot handle pinning it drops.");
-    W.open("  static void retireShard(std::shared_ptr<" + Seq +
-           "> Old) {");
-    W.line("relc::EpochManager::global().retireObject(");
-    W.line("    new std::shared_ptr<" + Seq + ">(std::move(Old)));");
-    W.close("}");
-    W.line("  relc::StripedLockSet Locks{NumShards};");
-    W.line("  relc::EpochGate Gates[NumShards];");
-    W.line("  std::shared_ptr<" + Seq + "> Shards[NumShards];");
-    W.line("  /// One pin counter per shard-state generation, swapped fresh");
-    W.line("  /// on every copy-on-write clone. Nonzero means a snapshot");
-    W.line("  /// handle still reads that generation.");
-    W.line("  std::shared_ptr<std::atomic<size_t>> Pins[NumShards];");
-    W.line("  std::atomic<size_t> Size{0};");
+    W.line("  relc::ShardedFacade<" + Seq + "> Core{NumShards};");
     W.close("};");
   }
 
-  /// The 0..NumShards-1 index array fenceAll() hands to the multi-gate
-  /// EpochWriterFence constructor.
-  void emitAllShardIdx() {
-    std::string Init;
-    for (unsigned S = 0; S != M.Shards; ++S) {
-      if (S)
-        Init += ", ";
-      Init += std::to_string(S);
-    }
-    W.line("  static constexpr unsigned AllShardIdx[NumShards] = {" + Init +
-           "};");
+  /// Declares `Holds`, the probe a keyed remove/update hands the core:
+  /// true if the shard has a tuple for key pattern \p Key (q_ params).
+  void emitKeyProbe(ColumnSet Key) {
+    ColumnSet Rest = D.spec()->columns().minus(Key);
+    W.open("auto Holds = [&](const " + seqRef() + ") {");
+    for (ColumnId C : Rest)
+      W.line("int64_t c_" + Cat.name(C) + " = 0;");
+    W.line("return Sh.lookup_by_" + colsSuffix(Key) + "(" +
+           join({colList(Key, "q_"), colList(Rest, "c_")}) + ");");
+    W.close("};");
   }
 
-  //===------------------------------------------------------------------===
-  // The wire dispatch table (the spec's `wire` directive): a constexpr
-  // opcode -> facade-method mapping matching the relserved protocol
-  // (src/server/Wire.h), so a server shim over the generated facade
-  // dispatches without hand-maintaining the table. One row per
-  // wire-addressable facade op; upserts, parallel scans, and clear are
-  // reachable only through other opcodes (Transact / Query) or not
-  // wire-exposed at all, so they get no row.
-  //===------------------------------------------------------------------===
-
-  void emitWireDispatch() {
-    assert(M.hasFacade() && "wire dispatch without a facade");
-    struct Row {
-      unsigned Opcode;
-      std::string Method;
-      unsigned Arity;
-    };
-    // Opcode values mirror wire::Op (kept numeric here so generated
-    // headers stay standalone).
-    std::vector<Row> Rows;
-    for (const MethodOp &Op : M.Ops) {
-      if (Op.Where != Layer::Facade)
-        continue;
-      switch (Op.Kind) {
-      case OpKind::Insert:
-        Rows.push_back({0x02, "insert", 0});
-        break;
-      case OpKind::RemoveBy:
-        Rows.push_back({0x03, Op.Name, 0});
-        break;
-      case OpKind::UpdateBy:
-        Rows.push_back({0x04, Op.Name, 0});
-        break;
-      case OpKind::Query:
-        Rows.push_back({0x05, Op.Name, 0});
-        break;
-      case OpKind::TransactBy:
-        Rows.push_back({0x06, Op.Name, Op.Arity});
-        break;
-      case OpKind::ParallelScan:
-      case OpKind::UpsertBy:
-      case OpKind::LookupBy:
-      case OpKind::Clear:
-        break;
-      }
-    }
-    // size() exists on every facade.
-    Rows.push_back({0x07, "size", 0});
-
-    std::string Fac = M.ClassName + "_concurrent";
-    W.line();
-    W.line("/// Wire dispatch table for " + Fac + ": one row per wire-");
-    W.line("/// addressable facade method, opcode values matching the "
-           "relserved");
-    W.line("/// binary protocol. An opcode with several specialized "
-           "methods (e.g.");
-    W.line("/// one Query per query directive) gets one row per method; "
-           "lookup()");
-    W.line("/// returns the first.");
-    W.open("struct " + M.ClassName + "_wire {");
-    W.open("struct Entry {");
-    W.line("unsigned char Opcode;");
-    W.line("const char *Method;");
-    W.line("/// Key tuples of a transact row; 0 elsewhere.");
-    W.line("unsigned Arity;");
-    W.close("};");
-    W.line("static constexpr unsigned NumEntries = " +
-           std::to_string(Rows.size()) + ";");
-    W.open("static constexpr Entry Table[NumEntries] = {");
-    for (const Row &R : Rows) {
-      char Op[8];
-      std::snprintf(Op, sizeof(Op), "0x%02X", R.Opcode);
-      W.line("{" + std::string(Op) + ", \"" + R.Method + "\", " +
-             std::to_string(R.Arity) + "},");
-    }
-    W.close("};");
-    W.open("static constexpr const Entry *lookup(unsigned char Op) {");
-    W.line("for (unsigned I = 0; I != NumEntries; ++I)");
-    W.line("  if (Table[I].Opcode == Op)");
-    W.line("    return &Table[I];");
-    W.line("return nullptr;");
-    W.close("}");
-    W.close("};");
+  /// Opens `<Decl> = Core.findShard(...)` around a lookup of key \p Key
+  /// with key and value prefixes \p KP / \p VP, closing with \p Tail.
+  void emitFindShard(const std::string &Decl, ColumnSet Key,
+                     const std::string &KP, const std::string &VP,
+                     const std::string &Tail) {
+    ColumnSet Rest = D.spec()->columns().minus(Key);
+    W.open(Decl + " = Core.findShard([&](const " + seqRef() + ") {");
+    W.line("return Sh.lookup_by_" + colsSuffix(Key) + "(" +
+           join({colList(Key, KP), colList(Rest, VP)}) + ");");
+    W.close("})" + Tail + ";");
   }
 
   void emitFacadeQuery(const MethodOp &Q, const std::string &SCName) {
-    bool Routed = Q.Lock.Routed;
     // The epoch read path is a lock-plan decision, not a backend one:
     // LockPlanPrecompute stamps WaitFree on every plain shared query
     // (and leaves it off ParallelScan, whose pooled workers may block).
     assert(Q.Lock.WaitFree &&
            "facade query without the wait-free read plan — run the pass "
            "pipeline");
-    std::string Params = params(Q.InputCols, "q_");
-    if (!Params.empty())
-      Params += ", ";
-    std::string FwdArgs = colList(Q.InputCols, "q_");
-    if (!FwdArgs.empty())
-      FwdArgs += ", ";
-
+    std::string Params = join({params(Q.InputCols, "q_"), "FnT &&Emit"});
+    std::string Call = "Sh." + Q.Name + "(" +
+                       join({colList(Q.InputCols, "q_"), "Emit"}) + ");";
     W.line();
-    if (Routed) {
+    if (Q.Lock.Routed) {
       W.line("  /// " + Q.Name + ": routed (the inputs bind '" + SCName +
              "'), one shard,");
-      W.line("  /// wait-free via readShard (reader lock only while a "
-             "writer holds");
-      W.line("  /// the shard's gate).");
+      W.line("  /// wait-free (reader lock only while a writer holds the "
+             "shard).");
       W.open("  template <typename FnT> void " + Q.Name + "(" + Params +
-             "FnT &&Emit) const {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("readShard(S, [&] { Shards[S]->" + Q.Name + "(" + FwdArgs +
-             "Emit); });");
-      W.close("}");
-      return;
+             ") const {");
+      W.line("Core.readOne(shardOf(q_" + SCName + "), [&](const " +
+             seqRef() + ") { " + Call + " });");
+    } else {
+      W.line("  /// " + Q.Name + ": fan-out, each shard in turn "
+             "(per-shard-consistent,");
+      W.line("  /// not a global snapshot).");
+      W.open("  template <typename FnT> void " + Q.Name + "(" + Params +
+             ") const {");
+      W.line("Core.readEach([&](const " + seqRef() + ") { " + Call + " });");
     }
-
-    W.line("  /// " + Q.Name + ": fan-out, each shard in turn via "
-           "readShard");
-    W.line("  /// (per-shard-consistent, not a global snapshot).");
-    W.open("  template <typename FnT> void " + Q.Name + "(" + Params +
-           "FnT &&Emit) const {");
-    W.line("for (unsigned S = 0; S != NumShards; ++S)");
-    W.line("  readShard(S, [&] { Shards[S]->" + Q.Name + "(" + FwdArgs +
-           "Emit); });");
     W.close("}");
   }
 
-  /// The parallel variant of a fan-out query: one worker per shard,
-  /// bounded merge queue. Lowered as its own op directly after the
-  /// base query; LockPlanPrecompute already erased the routed and
-  /// zero-output cases, so no blank line is emitted here — the comment
-  /// block abuts the base query exactly as it always has.
+  /// The parallel variant of a fan-out query: the core's pooled,
+  /// chunked fan-out, one row array per result.
   void emitFacadeParallel(const MethodOp &Op) {
     unsigned K = Op.OutputCols.size();
     assert(K > 0 && !Op.Lock.Routed &&
@@ -1386,138 +1094,80 @@ private:
     assert(!Op.Lock.WaitFree &&
            "pooled scan workers block on the merge queue; they must hold "
            "reader locks, not epoch sections");
-    std::string Params = params(Op.InputCols, "q_");
-    if (!Params.empty())
-      Params += ", ";
-    std::string FwdArgs = colList(Op.InputCols, "q_");
-    if (!FwdArgs.empty())
-      FwdArgs += ", ";
-    std::string RowT = "std::array<int64_t, " + std::to_string(K) + ">";
     std::string LambdaParams, RowInit, EmitArgs;
     for (unsigned I = 0; I != K; ++I) {
-      if (I) {
-        LambdaParams += ", ";
-        RowInit += ", ";
-        EmitArgs += ", ";
-      }
-      LambdaParams += "int64_t r" + std::to_string(I);
-      RowInit += "r" + std::to_string(I);
-      EmitArgs += "Row[" + std::to_string(I) + "]";
+      std::string N = std::to_string(I);
+      LambdaParams = join({LambdaParams, "int64_t r" + N});
+      RowInit = join({RowInit, "r" + N});
+      EmitArgs = join({EmitArgs, "R[" + N + "]"});
     }
+    W.line();
     W.line("  /// As " + Op.Callee + ", with one pooled worker per shard "
-           "(the process-");
-    W.line("  /// wide relc::ScanPool — no thread spawn per call) feeding "
-           "a bounded");
-    W.line("  /// merge queue in ScanChunkRows-row chunks: the same "
-           "multiset of");
-    W.line("  /// rows, in arbitrary interleaved order. Workers read "
-           "under shard");
-    W.line("  /// reader locks, not epoch sections — pool tasks may block "
-           "on queue");
-    W.line("  /// backpressure, which a read-side section must never do. "
-           "Emit runs");
-    W.line("  /// on the calling thread and must not call back into this "
-           "facade.");
-    W.open("  template <typename FnT> void " + Op.Name + "(" + Params +
-           "FnT &&Emit) const {");
-    W.line("using ChunkT = std::vector<" + RowT + ">;");
-    W.line("relc::BoundedQueue<ChunkT> Queue(ScanQueueChunks, NumShards);");
-    W.line("relc::ScanPool::TaskGroup Tasks(relc::ScanPool::global());");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("Tasks.submit([&, S] {");
-    W.line("auto Lock = Locks.shared(S);");
-    W.line("ChunkT C;");
-    W.line("C.reserve(ScanChunkRows);");
-    W.open("Shards[S]->" + Op.Callee + "(" + FwdArgs + "[&](" + LambdaParams +
-           ") {");
-    W.line("C.push_back(" + RowT + "{" + RowInit + "});");
-    W.open("if (C.size() == ScanChunkRows) {");
-    W.line("Queue.push(std::move(C));");
-    W.line("C.clear();");
-    W.line("C.reserve(ScanChunkRows);");
-    W.close("}");
-    W.close("});");
-    W.line("if (!C.empty())");
-    W.line("  Queue.push(std::move(C));");
-    W.line("Queue.producerDone();");
-    W.close("});");
-    W.close("}");
-    W.line("ChunkT Chunk;");
-    W.line("while (Queue.pop(Chunk))");
-    W.line("  for (const " + RowT + " &Row : Chunk)");
-    W.line("    Emit(" + EmitArgs + ");");
-    W.line("Tasks.wait();");
+           "feeding a bounded");
+    W.line("  /// merge queue: the same multiset of rows, in arbitrary "
+           "order. Emit");
+    W.line("  /// runs on the calling thread and must not call back into "
+           "this facade.");
+    W.open("  template <typename FnT> void " + Op.Name + "(" +
+           join({params(Op.InputCols, "q_"), "FnT &&Emit"}) + ") const {");
+    W.line("using Row = std::array<int64_t, " + std::to_string(K) + ">;");
+    W.open("auto Produce = [&](const " + seqRef() + ", auto &Push) {");
+    W.line("Sh." + Op.Callee + "(" +
+           join({colList(Op.InputCols, "q_"),
+                 "[&](" + LambdaParams + ") { Push({" + RowInit + "}); }"}) +
+           ");");
+    W.close("};");
+    W.line("Core.parallelScan<Row>(Produce, [&](const Row &R) { Emit(" +
+           EmitArgs + "); });");
     W.close("}");
   }
 
   void emitFacadeRemove(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    bool Routed = Op.Lock.Routed;
     std::string Name = "remove_by_" + colsSuffix(Key);
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": routed, one shard under its writer "
              "lock.");
       W.open("  bool " + Name + "(" + params(Key, "q_") + ") {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      W.line("bool Removed = writable(S)." + Name + "(" + colList(Key, "q_") +
-             ");");
-      W.line("if (Removed)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Removed;");
+      emitKeyProbe(Key);
+      W.open("return Core.writeOneIf(shardOf(q_" + SCName +
+             "), Holds, [&](" + seqRef() + ") {");
+      W.line("return Sh." + Name + "(" + colList(Key, "q_") + ");");
+      W.close("});");
       W.close("}");
       return;
     }
     W.line("  /// " + Name + ": the key misses '" + SCName +
            "', so the owner is");
-    W.line("  /// unknown — all writer locks, try each shard (at most one "
-           "match).");
+    W.line("  /// unknown — all writer locks, find the one match.");
     W.open("  bool " + Name + "(" + params(Key, "q_") + ") {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("if (writable(S)." + Name + "(" + colList(Key, "q_") + ")) {");
-    W.line("Size.fetch_sub(1, std::memory_order_relaxed);");
-    W.line("return true;");
-    W.close("}");
-    W.close("}");
-    W.line("return false;");
+    emitKeyProbe(Key);
+    W.open("return Core.writeAll([&] {");
+    W.line("unsigned S = Core.findShard(Holds);");
+    W.line("return S != NumShards && Core.writable(S)." + Name + "(" +
+           colList(Key, "q_") + ");");
+    W.close("});");
     W.close("}");
   }
 
   void emitFacadeUpdate(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
-    bool Routed = Op.Lock.Routed;
     std::string Name = "update_by_" + colsSuffix(Key);
-    std::string Params = params(Key, "q_");
-    if (!Rest.empty())
-      Params += ", " + params(Rest, "v_");
+    std::string Params = join({params(Key, "q_"),
+                               params(D.spec()->columns().minus(Key), "v_")});
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": routed (the key binds '" + SCName +
              "' and the new");
       W.line("  /// values cannot rewrite it), one shard under its writer "
              "lock.");
       W.open("  bool " + Name + "(" + Params + ") {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      // The shard-local reinsert can no-op on an FD-violating
-      // collision with another key (release builds); track the
-      // shard's size delta so the facade counter never drifts.
-      // Bind the writable shard once: the COW clone (if any) must
-      // happen before Before is sampled.
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.line("bool Updated = Sh." + Name + "(" +
-             mixedArgs(Key, "q_", "v_") + ");");
-      W.line("if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Updated;");
+      emitKeyProbe(Key);
+      W.open("return Core.writeOneIf(shardOf(q_" + SCName +
+             "), Holds, [&](" + seqRef() + ") {");
+      W.line("return Sh." + Name + "(" + mixedArgs(Key, "q_", "v_") + ");");
+      W.close("});");
       W.close("}");
       return;
     }
@@ -1528,60 +1178,38 @@ private:
     W.line("  /// the current owner, reinsert into the new one "
            "(migration).");
     W.open("  bool " + Name + "(" + Params + ") {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("if (writable(S).remove_by_" + colsSuffix(Key) + "(" +
-           colList(Key, "q_") + ")) {");
-    // A false insert() is an FD-violating collision in the target
-    // shard; keep Size consistent with the shards regardless.
-    W.line("if (!writable(shardOf(v_" + SCName + ")).insert(" +
-           mixedArgs(Key, "q_", "v_") + "))");
-    W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
+    emitKeyProbe(Key);
+    W.open("return Core.writeAll([&] {");
+    W.line("unsigned S = Core.findShard(Holds);");
+    W.line("if (S == NumShards)");
+    W.line("  return false;");
+    W.line("Core.writable(S).remove_by_" + colsSuffix(Key) + "(" +
+           colList(Key, "q_") + ");");
+    W.line("Core.writable(shardOf(v_" + SCName + ")).insert(" +
+           mixedArgs(Key, "q_", "v_") + ");");
     W.line("return true;");
-    W.close("}");
-    W.close("}");
-    W.line("return false;");
+    W.close("});");
     W.close("}");
   }
 
   void emitFacadeUpsert(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
-    bool Routed = Op.Lock.Routed;
+    ColumnSet Rest = D.spec()->columns().minus(Key);
     std::string Name = "upsert_by_" + colsSuffix(Key);
-    std::string FnArgs = "Found";
-    if (!Rest.empty())
-      FnArgs += ", " + colList(Rest, "c_");
+    std::string Params = join({params(Key, "q_"), "FnT &&Fn"});
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": the atomic read-modify-write, routed — "
              "ONE shard");
       W.line("  /// writer lock linearizes the whole cycle (see the "
              "sequential");
       W.line("  /// upsert_by_" + colsSuffix(Key) +
              " for the callback contract).");
-      W.open("  template <typename FnT> bool " + Name + "(" +
-             params(Key, "q_") + ", FnT &&Fn) {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      // Track the shard's size delta rather than trusting the return
-      // value: an FD-violating collision with another key can make
-      // the shard-local reinsert no-op (release builds), and the
-      // facade counter must follow the shards regardless. Bind the
-      // writable shard once: the COW clone (if any) must happen
-      // before Before is sampled.
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.line("bool Inserted = Sh." + Name + "(" +
-             colList(Key, "q_") + ", Fn);");
-      W.line("if (Sh.size() > Before)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Inserted;");
+      W.open("  template <typename FnT> bool " + Name + "(" + Params + ") {");
+      W.open("return Core.writeOne(shardOf(q_" + SCName + "), [&](" +
+             seqRef() + ") {");
+      W.line("return Sh." + Name + "(" + colList(Key, "q_") + ", Fn);");
+      W.close("});");
       W.close("}");
       return;
     }
@@ -1590,38 +1218,21 @@ private:
     W.line("  /// the new values may rewrite the shard column, migrating "
            "the");
     W.line("  /// tuple to its new owner.");
-    W.open("  template <typename FnT> bool " + Name + "(" +
-           params(Key, "q_") + ", FnT &&Fn) {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
+    W.open("  template <typename FnT> bool " + Name + "(" + Params + ") {");
+    W.open("return Core.writeAll([&] {");
     for (ColumnId C : Rest)
       W.line("int64_t c_" + Cat.name(C) + " = 0;");
-    W.line("unsigned Owner = NumShards;");
-    std::string LookupArgs = colList(Key, "q_");
-    if (!Rest.empty())
-      LookupArgs += ", " + colList(Rest, "c_");
-    W.line("for (unsigned S = 0; S != NumShards && Owner == NumShards; "
-           "++S)");
-    W.line("  if (Shards[S]->lookup_by_" + colsSuffix(Key) + "(" +
-           LookupArgs + "))");
-    W.line("    Owner = S;");
+    emitFindShard("unsigned Owner", Key, "q_", "c_", "");
     W.line("bool Found = Owner != NumShards;");
-    W.line("Fn(" + FnArgs + ");");
+    W.line("Fn(" + join({"Found", colList(Rest, "c_")}) + ");");
     W.line("if (Found)");
-    W.line("  writable(Owner).remove_by_" + colsSuffix(Key) + "(" +
+    W.line("  Core.writable(Owner).remove_by_" + colsSuffix(Key) + "(" +
            colList(Key, "q_") + ");");
     // SC is a non-key column here, so the new owner comes from c_<SC>.
-    // A false insert() means the new tuple collided with an existing
-    // one on another key FD — an FD-violating input, but keep Size
-    // consistent with the shards regardless (as the interpreted
-    // ConcurrentRelation::upsert does).
-    W.line("bool Inserted = writable(shardOf(c_" + SCName + ")).insert(" +
+    W.line("Core.writable(shardOf(c_" + SCName + ")).insert(" +
            mixedArgs(Key, "q_", "c_") + ");");
-    W.line("if (!Found && Inserted)");
-    W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-    W.line("else if (Found && !Inserted)");
-    W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
     W.line("return !Found;");
+    W.close("});");
     W.close("}");
   }
 
@@ -1639,10 +1250,10 @@ private:
   }
 
   //===------------------------------------------------------------------===
-  // transact*_by_<key>: the atomic N-key read-modify-write. Arity 2 is
-  // the historical transfer shape (pairwise Lo/Hi lock ordering); any
-  // larger arity locks its owning stripe set through ShardSetGuard,
-  // which sorts, dedups, and acquires ascending — the same total order.
+  // transact*_by_<key>: the atomic N-key read-modify-write. Routed, it
+  // holds exactly the owning stripes (the core's writeSet sorts and
+  // dedups them on the stack and acquires ascending); otherwise every
+  // stripe.
   //===------------------------------------------------------------------===
 
   /// Per-side naming: sides are a_, b_, c_, ... with FoundA/FoundB/...
@@ -1656,8 +1267,7 @@ private:
 
   void emitFacadeTransact(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
+    ColumnSet Rest = D.spec()->columns().minus(Key);
     unsigned N = Op.Arity;
     assert(N >= 2 && "transact op with a degenerate arity");
     bool Routed = Op.Lock.Routed;
@@ -1668,99 +1278,43 @@ private:
                : "tx_apply" + std::to_string(N) + "_by_" + Suffix;
     // Fn(bool FoundA, int64_t &a_<rest>..., bool FoundB, ...): one
     // (flag, values) group per side.
-    std::string FnArgs;
-    for (unsigned I = 0; I != N; ++I)
+    std::string FnArgs, Params, Stripes;
+    for (unsigned I = 0; I != N; ++I) {
       FnArgs = join({FnArgs, "Found" + sideLetter(I),
                      colList(Rest, sidePrefix(I))});
-    std::string Params;
-    for (unsigned I = 0; I != N; ++I)
       Params = join({Params, params(Key, sidePrefix(I))});
+      Stripes = join({Stripes, "S" + sideLetter(I)});
+    }
     Params = join({Params, "FnT &&Fn"});
 
     W.line();
-    if (N == 2) {
-      W.line("  /// " + Name + ": atomic two-key read-modify-write "
-             "(transfer-style");
-      W.line("  /// transaction) over key pattern {" + Suffix +
-             "}. Resolves both tuples,");
-      W.line("  /// calls Fn(bool FoundA, int64_t &a_..., bool FoundB, "
-             "int64_t &b_...)");
-      W.line("  /// exactly once with the pre-transaction non-key values "
-             "(zeros when");
-      W.line("  /// absent), then writes both sides back — an absent side "
-             "is inserted");
-      W.line("  /// with whatever values Fn leaves. Fn may return false to "
-             "abort");
-      W.line("  /// (nothing is written); a void Fn always commits. "
-             "Returns true if");
-      W.line("  /// the transaction committed.");
-    } else {
-      W.line("  /// " + Name + ": atomic " + std::to_string(N) +
-             "-key read-modify-write over key pattern");
-      W.line("  /// {" + Suffix + "}. Resolves all " + std::to_string(N) +
-             " tuples, calls Fn(bool FoundA, int64_t &a_...,");
-      W.line("  /// ..., bool Found" + sideLetter(N - 1) + ", int64_t &" +
-             sidePrefix(N - 1) + "...) exactly once with the "
-             "pre-transaction");
-      W.line("  /// non-key values (zeros when absent), then writes every "
-             "side back —");
-      W.line("  /// an absent side is inserted with whatever values Fn "
-             "leaves. Fn may");
-      W.line("  /// return false to abort (nothing is written); a void Fn "
-             "always");
-      W.line("  /// commits. Returns true if the transaction committed.");
-    }
-    if (Routed) {
-      if (N == 2) {
-        W.line("  /// Locking: exactly the owning shard stripes — one or "
-               "two, never");
-        W.line("  /// all — acquired in ascending index order (two-phase "
-               "locking, the");
-        W.line("  /// same total order as every other multi-stripe "
-               "acquisition).");
-        W.open("  template <typename FnT> bool " + Name + "(" + Params +
-               ") {");
-        W.line("unsigned SA = shardOf(a_" + SCName + ");");
-        W.line("unsigned SB = shardOf(b_" + SCName + ");");
-        W.line("unsigned Lo = SA < SB ? SA : SB;");
-        W.line("unsigned Hi = SA < SB ? SB : SA;");
-        W.line("auto LockLo = Locks.exclusive(Lo);");
-        W.line("std::unique_lock<std::shared_mutex> LockHi;");
-        W.line("if (Hi != Lo)");
-        W.line("  LockHi = Locks.exclusive(Hi);");
-        W.line("unsigned FenceIdx[2] = {Lo, Hi};");
-        W.line("relc::EpochWriterFence Fence(Gates, FenceIdx, "
-               "Hi != Lo ? 2u : 1u);");
-      } else {
-        W.line("  /// Locking: exactly the owning shard stripes — at most " +
-               std::to_string(N) + ", never");
-        W.line("  /// all — sorted, deduped, and acquired in ascending "
-               "index order by");
-        W.line("  /// ShardSetGuard (two-phase locking, the same total "
-               "order as every");
-        W.line("  /// other multi-stripe acquisition).");
-        W.open("  template <typename FnT> bool " + Name + "(" + Params +
-               ") {");
-        std::string StripeList;
-        for (unsigned I = 0; I != N; ++I) {
-          W.line("unsigned S" + sideLetter(I) + " = shardOf(" +
-                 sidePrefix(I) + SCName + ");");
-          StripeList = join({StripeList, "S" + sideLetter(I)});
-        }
-        W.line("relc::ShardSetGuard Guard(Locks, {" + StripeList + "});");
-        W.line("relc::EpochWriterFence Fence(Gates, "
-               "Guard.stripes().data(), Guard.stripes().size());");
-      }
-    } else {
+    W.line("  /// " + Name + ": atomic " + std::to_string(N) +
+           "-key read-modify-write over key pattern");
+    W.line("  /// {" + Suffix + "}. Resolves every side, calls Fn(bool "
+           "FoundA, int64_t &a_...,");
+    W.line("  /// ...) exactly once with the pre-transaction non-key "
+           "values (zeros when");
+    W.line("  /// absent), then writes every side back — an absent side is "
+           "inserted");
+    W.line("  /// with whatever values Fn leaves. Fn may return false to "
+           "abort");
+    W.line("  /// (nothing is written); a void Fn always commits. Returns "
+           "true if");
+    W.line("  /// the transaction committed.");
+    if (Routed)
+      W.line("  /// Locking: exactly the owning shard stripes, ascending "
+             "(two-phase locking).");
+    else
       W.line("  /// Locking: the key misses '" + SCName +
-             "', so the owners are unknown");
-      W.line("  /// and the write-back may migrate tuples — every "
-             "writer stripe, in");
-      W.line("  /// ascending order.");
-      W.open("  template <typename FnT> bool " + Name + "(" + Params +
-             ") {");
-      W.line("relc::AllShardsGuard Guard(Locks);");
-      W.line("relc::EpochWriterFence Fence = fenceAll();");
+             "' — every writer stripe.");
+    W.open("  template <typename FnT> bool " + Name + "(" + Params + ") {");
+    if (Routed) {
+      for (unsigned I = 0; I != N; ++I)
+        W.line("unsigned S" + sideLetter(I) + " = shardOf(" + sidePrefix(I) +
+               SCName + ");");
+      W.open("return Core.writeSet({" + Stripes + "}, [&] {");
+    } else {
+      W.open("return Core.writeAll([&] {");
     }
     for (ColumnId C : Rest)
       for (unsigned I = 0; I != N; ++I)
@@ -1768,17 +1322,12 @@ private:
     for (unsigned I = 0; I != N; ++I) {
       std::string Side = sideLetter(I);
       std::string P = sidePrefix(I);
-      std::string LookupArgs = join({colList(Key, P), colList(Rest, P)});
-      if (Routed) {
-        W.line("bool Found" + Side + " = Shards[S" + Side +
-               "]->lookup_by_" + Suffix + "(" + LookupArgs + ");");
-      } else {
-        W.line("bool Found" + Side + " = false;");
-        W.line("for (unsigned S = 0; S != NumShards && !Found" + Side +
-               "; ++S)");
-        W.line("  Found" + Side + " = Shards[S]->lookup_by_" + Suffix +
-               "(" + LookupArgs + ");");
-      }
+      if (Routed)
+        W.line("bool Found" + Side + " = Core.shard(S" + Side +
+               ").lookup_by_" + Suffix + "(" +
+               join({colList(Key, P), colList(Rest, P)}) + ");");
+      else
+        emitFindShard("bool Found" + Side, Key, P, P, " != NumShards");
     }
     W.line("bool Commit = true;");
     W.line("if constexpr (std::is_void_v<decltype(Fn(" + FnArgs + "))>)");
@@ -1787,69 +1336,45 @@ private:
     W.line("  Commit = Fn(" + FnArgs + ");");
     W.line("if (!Commit)");
     W.line("  return false;");
-    for (unsigned I = 0; I != N; ++I) {
-      std::string Shard = Routed ? "S" + sideLetter(I) : "";
+    for (unsigned I = 0; I != N; ++I)
       W.line(Apply + "(" +
-             join({Shard, colList(Key, sidePrefix(I)),
-                   colList(Rest, sidePrefix(I))}) + ");");
-    }
+             join({Routed ? "S" + sideLetter(I) : "",
+                   colList(Key, sidePrefix(I)),
+                   colList(Rest, sidePrefix(I))}) +
+             ");");
     W.line("return true;");
+    W.close("});");
     W.close("}");
 
-    // The write-back half, shared by all sides; private.
+    // The write-back half, shared by all sides; private. The caller
+    // holds the stripes, and the core settles the size counter.
     W.line();
     W.line("private:");
-    std::string ApplyParams =
-        join({Routed ? "unsigned S" : "", params(Key, "q_"),
-              params(Rest, "c_")});
+    W.line("  /// Write-back half of " + Name + ": upserts the key to the "
+           "given values.");
+    W.open("  void " + Apply + "(" +
+           join({Routed ? "unsigned S" : "", params(Key, "q_"),
+                 params(Rest, "c_")}) +
+           ") {");
     if (Routed) {
-      W.line("  /// Write-back half of " + Name + ": upserts the key to "
-             "the given");
-      W.line("  /// values on shard S, whose writer lock the caller "
-             "holds.");
-      W.open("  void " + Apply + "(" + ApplyParams + ") {");
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.open("Sh.upsert_by_" + Suffix + "(" +
+      W.open("Core.writable(S).upsert_by_" + Suffix + "(" +
              join({colList(Key, "q_"),
                    "[&](" + join({"bool", refParams(Rest, "r_")}) + ") {"}));
       for (ColumnId C : Rest)
         W.line("r_" + Cat.name(C) + " = c_" + Cat.name(C) + ";");
       W.close("});");
-      W.line("if (Sh.size() > Before)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.close("}");
     } else {
-      W.line("  /// Write-back half of " + Name + " under every writer "
-             "lock (held by");
-      W.line("  /// the caller): upserts the key to the given values, "
-             "migrating the");
-      W.line("  /// tuple to the shard of the new '" + SCName +
-             "' value.");
-      W.open("  void " + Apply + "(" + ApplyParams + ") {");
+      // Migrates the tuple to the shard of its new shard-column value.
       for (ColumnId C : Rest)
         W.line("int64_t o_" + Cat.name(C) + " = 0;");
-      W.line("unsigned Owner = NumShards;");
-      std::string LookupArgs = join({colList(Key, "q_"),
-                                     colList(Rest, "o_")});
-      W.line("for (unsigned S = 0; S != NumShards && Owner == NumShards; "
-             "++S)");
-      W.line("  if (Shards[S]->lookup_by_" + Suffix + "(" + LookupArgs +
-             "))");
-      W.line("    Owner = S;");
+      emitFindShard("unsigned Owner", Key, "q_", "o_", "");
       W.line("if (Owner != NumShards)");
-      W.line("  writable(Owner).remove_by_" + Suffix + "(" +
+      W.line("  Core.writable(Owner).remove_by_" + Suffix + "(" +
              colList(Key, "q_") + ");");
-      W.line("bool Inserted = writable(shardOf(c_" + SCName + ")).insert(" +
+      W.line("Core.writable(shardOf(c_" + SCName + ")).insert(" +
              mixedArgs(Key, "q_", "c_") + ");");
-      W.line("if (Owner == NumShards && Inserted)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Owner != NumShards && !Inserted)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.close("}");
     }
+    W.close("}");
     W.line();
     W.line("public:");
   }

@@ -139,13 +139,10 @@ struct Module {
   unsigned Shards = 0;
   /// Resolved shard column (meaningful iff Shards > 0).
   ColumnId ShardColumn = 0;
-  /// Emit the `<class>_wire` opcode dispatch table alongside the
-  /// facade (the spec's `wire` directive; requires Shards > 0).
-  bool WireDispatch = false;
   /// Facade modules only: the planner's full-row scan (no inputs, all
   /// columns out), stamped by lowering. Backends emit the sequential
-  /// class's `scanRows` and the facade's COW snapshot machinery from
-  /// it. A Module field rather than a Support MethodOp on purpose:
+  /// class's `scanRows` from it, which the facade core uses to clone
+  /// shards copy-on-write and to visit snapshot rows. A Module field rather than a Support MethodOp on purpose:
   /// it exists independently of the requested method set, is never a
   /// dedup/liveness subject, and so emits identically under --no-opt.
   std::shared_ptr<const QueryPlan> RowScanPlan;

@@ -64,8 +64,6 @@ std::string ir::printModule(const Module &M) {
            Cat.name(M.ShardColumn) + "\n";
   else
     Out += "  shards: none\n";
-  if (M.WireDispatch)
-    Out += "  wire dispatch: on\n";
 
   Out += "  ops:\n";
   for (const MethodOp &Op : M.Ops) {

@@ -9,7 +9,8 @@
 //
 //   sequential: insert, queries, remove_by_* (remove ∪ update ∪ upsert
 //   ∪ transact keys), update_by_*, (lookup_by_*, upsert_by_*) pairs
-//   (upsert ∪ transact keys);
+//   (upsert ∪ transact keys), then — facade modules only — the
+//   lookup_by_* probes of the remove and update keys;
 //   facade: insert, (query, parallel scan) pairs, remove_by_*,
 //   update_by_*, upsert_by_*, transact*_by_*, clear.
 //
@@ -52,14 +53,11 @@ public:
            "lowering an inadequate decomposition");
     assert((Opts.Transactions.empty() || Opts.ConcurrentShards > 0) &&
            "transact_by_* lives on the concurrent facade");
-    assert((!Opts.WireDispatch || Opts.ConcurrentShards > 0) &&
-           "the wire dispatch table targets the concurrent facade");
 
     M.Decomp = &D;
     M.ClassName = Opts.ClassName;
     M.Namespace = Opts.Namespace;
     M.Shards = Opts.ConcurrentShards;
-    M.WireDispatch = Opts.WireDispatch;
     if (M.Shards > 0)
       M.ShardColumn = Opts.ConcurrentShardColumn
                           ? *Opts.ConcurrentShardColumn
@@ -165,6 +163,24 @@ private:
       Upsert.Name = "upsert_by_" + colsSuffix(Cat, Key);
       Upsert.Key = Key;
       M.Ops.push_back(std::move(Upsert));
+    }
+    // Facade remove/update wrappers probe the key with lookup_by_*
+    // before the copy-on-write gate (a miss must not clone a shard a
+    // snapshot pins). Listed after the upsert pairs, so MethodDedup
+    // keeps a pair's lookup where one exists.
+    if (Opts.ConcurrentShards > 0) {
+      std::vector<ColumnSet> ProbeKeys = Opts.RemoveKeys;
+      ProbeKeys.insert(ProbeKeys.end(), Opts.UpdateKeys.begin(),
+                       Opts.UpdateKeys.end());
+      for (ColumnSet Key : ProbeKeys) {
+        MethodOp Lookup;
+        Lookup.Kind = OpKind::LookupBy;
+        Lookup.Provenance = Origin::Support;
+        Lookup.Name = "lookup_by_" + colsSuffix(Cat, Key);
+        Lookup.Key = Key;
+        Lookup.Plan = keyPlan(Key, "lookup");
+        M.Ops.push_back(std::move(Lookup));
+      }
     }
   }
 

@@ -128,8 +128,11 @@ public:
       constexpr Layer Seq = Layer::Sequential;
       switch (Op.Kind) {
       case OpKind::UpdateBy:
-        if (Op.Where == Layer::Facade)
+        // The facade wrapper probes the key before the COW gate.
+        if (Op.Where == Layer::Facade) {
           mark(M.find(OpKind::UpdateBy, Seq, Op.Key));
+          mark(M.find(OpKind::LookupBy, Seq, Op.Key));
+        }
         mark(M.find(OpKind::RemoveBy, Seq, Op.Key));
         mark(M.find(OpKind::Insert, Seq, ColumnSet()));
         break;
@@ -150,8 +153,10 @@ public:
         mark(M.find(OpKind::Insert, Seq, ColumnSet()));
         break;
       case OpKind::RemoveBy:
-        if (Op.Where == Layer::Facade)
+        if (Op.Where == Layer::Facade) {
           mark(M.find(OpKind::RemoveBy, Seq, Op.Key));
+          mark(M.find(OpKind::LookupBy, Seq, Op.Key));
+        }
         break;
       case OpKind::Query:
         if (Op.Where == Layer::Facade)

@@ -42,9 +42,8 @@
 #ifndef RELC_CONCURRENT_CONCURRENTRELATION_H
 #define RELC_CONCURRENT_CONCURRENTRELATION_H
 
-#include "concurrent/Epoch.h"
 #include "concurrent/ShardRouter.h"
-#include "concurrent/StripedLock.h"
+#include "concurrent/ShardedFacade.h"
 #include "runtime/SynthesizedRelation.h"
 
 #include <atomic>
@@ -64,9 +63,6 @@ struct ConcurrentOptions {
   /// Column to partition by; defaults to the first column of the
   /// decomposition root's key (ShardRouter::defaultShardColumn).
   std::optional<ColumnId> ShardColumn;
-  /// Slots in the bounded merge queue of parallel fan-out scans; the
-  /// bound backpressures shard workers against a slow consumer.
-  size_t ScanQueueCapacity = 1024;
 };
 
 class ConcurrentRelation {
@@ -77,14 +73,14 @@ public:
   explicit ConcurrentRelation(const Decomposition &D,
                               ConcurrentOptions Opts = ConcurrentOptions());
 
-  // Read the facade's own immutable copy of the decomposition, not
-  // Shards.front(): shard pointers are COW-swapped by writers holding
-  // only their own stripe, so an unlocked read of a shard slot races.
+  // Read the facade's own immutable copy of the decomposition, not a
+  // shard's: shard pointers are COW-swapped by writers holding only
+  // their own stripe, so an unlocked read of a shard slot races.
   const RelSpecRef &spec() const { return Proto.spec(); }
   const Catalog &catalog() const { return Proto.catalog(); }
   const Decomposition &decomp() const { return Proto; }
 
-  unsigned numShards() const { return Router.numShards(); }
+  unsigned numShards() const { return Core.numShards(); }
   ColumnId shardColumn() const { return Router.shardColumn(); }
 
   //===--------------------------------------------------------------------===
@@ -212,7 +208,8 @@ public:
   /// (exclusive, ascending, with the epoch writer fence raised on the
   /// matching gates), runs \p Body, then releases. \p Body typically
   /// applies several compatible transactions via transactPreLocked —
-  /// one stripe acquisition amortized over the group.
+  /// one stripe acquisition amortized over the group. size() moves by the
+  /// group's net effect once \p Body returns, before the release.
   void withTxLocks(const TxLockPlan &Plan, function_ref<void()> Body);
 
   /// Applies \p Ops as one transaction with locking delegated to the
@@ -243,13 +240,13 @@ public:
   /// Parallel fan-out scan: one task per shard runs on the persistent
   /// scan worker pool (concurrent/ScanPool.h — no per-call thread
   /// spawn), scans under its shard's reader lock, and feeds row chunks
-  /// into a bounded merge queue (ConcurrentOptions::ScanQueueCapacity
-  /// rows); \p Fn runs on the calling thread and sees the same
-  /// multiset of frames as the sequential fan-out, in arbitrary
-  /// per-shard-chunked order. Routed patterns (which touch one shard)
-  /// degrade to the sequential path. Like scanFrames, \p Fn must not
-  /// call back into this relation — a mutation would deadlock against
-  /// a queue-blocked shard task.
+  /// into a bounded merge queue (ShardedFacade::parallelScan); \p Fn
+  /// runs on the calling thread and sees the same multiset of frames as
+  /// the sequential fan-out, in arbitrary per-shard-chunked order.
+  /// Routed patterns (which touch one shard) degrade to the sequential
+  /// path. Like scanFrames, \p Fn must not call back into this
+  /// relation — a mutation would deadlock against a queue-blocked shard
+  /// task.
   void scanFramesParallel(const Tuple &Pattern, ColumnSet OutputCols,
                           function_ref<bool(const BindingFrame &)> Fn) const;
 
@@ -261,7 +258,7 @@ public:
   bool contains(const Tuple &Pattern) const;
 
   /// Lock-free; exact whenever it does not race a mutation.
-  size_t size() const { return Count.load(std::memory_order_relaxed); }
+  size_t size() const { return Core.size(); }
   bool empty() const { return size() == 0; }
 
   /// Empties every shard (all writer locks).
@@ -272,73 +269,28 @@ public:
   //===--------------------------------------------------------------------===
 
   /// A refcounted, immutable, globally consistent view of the whole
-  /// relation, acquired by snapshot() in O(shards) with no data copy.
-  /// The handle pins the shard instances (and their slab arenas) that
-  /// were live at acquisition: writers that later touch a pinned shard
-  /// clone it copy-on-write and swap in the clone, so the handle keeps
-  /// reading frozen state, lock-free, for as long as it lives. Dropping
-  /// the last reference releases the frozen instances — the write side
-  /// retired its own references through EpochManager at clone time, so
-  /// the state is reclaimed once both the grace period and the last
-  /// handle are gone. Copyable and movable; a default-constructed
-  /// handle is empty (valid() == false).
+  /// relation, acquired by snapshot() in O(shards) with no data copy:
+  /// the pinned shard instances of ShardedFacade::Snapshot (writers
+  /// clone a pinned shard before touching it, so the handle keeps
+  /// reading frozen state, lock-free, for as long as it lives) plus the
+  /// commit ticket of the same cut. Copyable and movable; a
+  /// default-constructed handle is empty (valid() == false).
   class Snapshot {
   public:
-    Snapshot() = default;
-    /// The handle participates in the pin-count protocol writable()
-    /// relies on: construction/copy increment each pinned shard's pin
-    /// counter (the 0->1 transition only ever happens inside
-    /// snapshot(), under the all-stripe SHARED guard; copies start
-    /// from a count the source handle already holds above zero), and
-    /// destruction decrements with RELEASE order — the edge that
-    /// makes a writer's later acquire-load-of-zero happen-after every
-    /// read this handle performed.
-    Snapshot(const Snapshot &O)
-        : Shards(O.Shards), Pins(O.Pins), Ticket(O.Ticket), Count(O.Count) {
-      for (const std::shared_ptr<std::atomic<size_t>> &P : Pins)
-        P->fetch_add(1, std::memory_order_relaxed);
-    }
-    Snapshot &operator=(const Snapshot &O) {
-      if (this != &O) {
-        Snapshot Tmp(O);
-        *this = std::move(Tmp);
-      }
-      return *this;
-    }
-    /// Vector moves leave the source empty, so a moved-from handle
-    /// holds no pins and its destructor is a no-op.
-    Snapshot(Snapshot &&O) noexcept = default;
-    Snapshot &operator=(Snapshot &&O) noexcept {
-      if (this != &O) {
-        unpinAll();
-        Shards = std::move(O.Shards);
-        Pins = std::move(O.Pins);
-        Ticket = O.Ticket;
-        Count = O.Count;
-        O.Shards.clear();
-        O.Pins.clear();
-      }
-      return *this;
-    }
-    ~Snapshot() { unpinAll(); }
-
-    bool valid() const { return !Shards.empty(); }
-    unsigned numShards() const {
-      return static_cast<unsigned>(Shards.size());
-    }
+    bool valid() const { return Pinned.valid(); }
+    unsigned numShards() const { return Pinned.numShards(); }
     /// Newest commit ticket included in this snapshot: every commit
     /// with ticket <= ticket() is visible, none above it.
     uint64_t ticket() const { return Ticket; }
     /// Tuples across all pinned shards (exact: counted under the same
     /// acquisition that pinned them).
-    size_t size() const { return Count; }
-    bool empty() const { return Count == 0; }
+    size_t size() const { return Pinned.size(); }
+    bool empty() const { return Pinned.empty(); }
 
     /// Direct access to pinned shard \p I (immutable; reads are
     /// reentrant and thread-safe, no locks involved).
     const SynthesizedRelation &shard(unsigned I) const {
-      assert(I < Shards.size() && "shard index out of range");
-      return *Shards[I];
+      return Pinned.shard(I);
     }
 
     /// Streaming scan over the snapshot — the sequential fan-out shape
@@ -355,22 +307,13 @@ public:
 
   private:
     friend class ConcurrentRelation;
-    void unpinAll() {
-      for (const std::shared_ptr<std::atomic<size_t>> &P : Pins)
-        P->fetch_sub(1, std::memory_order_release);
-    }
-    std::vector<std::shared_ptr<const SynthesizedRelation>> Shards;
-    /// Per-shard pin counters, paired with Shards entry for entry (the
-    /// counter travels with the state generation it pins — a COW swap
-    /// installs a fresh counter with the fresh state).
-    std::vector<std::shared_ptr<std::atomic<size_t>>> Pins;
+    ShardedFacade<SynthesizedRelation>::Snapshot Pinned;
     uint64_t Ticket = 0;
-    size_t Count = 0;
   };
 
   /// Acquires a consistent snapshot: one brief all-stripe SHARED
   /// acquisition (writers excluded, readers admitted) covers reading
-  /// the N shard pointers, the commit ticket, and the size — O(shards)
+  /// the shard pointers, the commit ticket, and the size — O(shards)
   /// work, no per-tuple work under any lock. The returned handle is
   /// self-contained; serialization/extraction happens against it with
   /// no facade locks held, while commits keep flowing (the first write
@@ -391,21 +334,20 @@ public:
   /// Live NodeInstances across shards (leak checks).
   size_t liveInstances() const;
 
-  /// Allocator counters of shard \p I's private slab arena, read under
-  /// the shard's reader lock (the shard pointer itself is COW-swapped
-  /// by writers). ArenaStats fields are relaxed atomics underneath, so
+  /// Allocator counters of shard \p I's private slab arena, read on
+  /// the shard's read path (the shard pointer itself is COW-swapped by
+  /// writers). ArenaStats fields are relaxed atomics underneath, so
   /// the numbers are a moving target; quiesce for exactness.
   ArenaStats shardArenaStats(unsigned I) const {
-    assert(I < Shards.size() && "shard index out of range");
-    auto Lock = Locks.shared(I);
-    return Shards[I]->arenaStats();
+    return Core.readOne(
+        I, [](const SynthesizedRelation &S) { return S.arenaStats(); });
   }
 
   /// Sum of every shard's arena counters (server stats / memory
   /// accounting). Same consistency caveat as shardArenaStats.
   ArenaStats arenaStats() const {
     ArenaStats Total;
-    for (unsigned I = 0; I != Shards.size(); ++I) {
+    for (unsigned I = 0; I != numShards(); ++I) {
       ArenaStats A = shardArenaStats(I);
       Total.Slabs += A.Slabs;
       Total.Bytes += A.Bytes;
@@ -422,63 +364,10 @@ public:
   /// Direct shard access for tests and benches. The caller is
   /// responsible for exclusion (e.g. after joining all worker
   /// threads); the facade's locks are not taken.
-  const SynthesizedRelation &shard(unsigned I) const { return *Shards[I]; }
+  const SynthesizedRelation &shard(unsigned I) const { return Core.shard(I); }
 
 private:
-  size_t removeAllShards(const Tuple &Pattern);
   size_t updateRehoming(const Tuple &Pattern, const Tuple &Changes);
-
-  /// Copy-on-write gate every mutation runs through: with shard \p S's
-  /// stripe held exclusively (and its fence raised), returns the shard
-  /// instance to mutate. When no snapshot pins the instance
-  /// (Pins[S] == 0) that is the live instance itself; otherwise the
-  /// instance is cloned (O(shard) — the one-time cost of the first
-  /// write after a snapshot), the frozen original's arena is detached
-  /// from the epoch hand-back protocol, the facade's reference to it
-  /// is retired through EpochManager, and the clone (with a fresh pin
-  /// counter) is swapped in.
-  /// The pin probe is sound AND racefree: the 0->1 transition only
-  /// happens under the all-stripes SHARED acquisition of snapshot()
-  /// (excluded by our exclusive stripe) — handle copies increment a
-  /// count their source handle already holds above zero — and handle
-  /// drops decrement with RELEASE order, so the acquire-load reading
-  /// zero happens-after every read the dropped handles made (an edge
-  /// a relaxed shared_ptr::use_count probe would not provide). A drop
-  /// racing the load at worst leaves the count inflated and costs a
-  /// spurious clone.
-  SynthesizedRelation &writable(unsigned S);
-
-  /// A fresh, empty shard instance (concurrent reads + deferred
-  /// reclamation enabled, like the constructor's).
-  std::shared_ptr<SynthesizedRelation> freshShard() const;
-
-  /// Hands the facade's reference to a frozen shard instance to the
-  /// epoch retire list; the instance is destroyed after the grace
-  /// period AND the last snapshot handle drop.
-  static void retireShardRef(std::shared_ptr<SynthesizedRelation> Old);
-
-  /// Runs \p Body with read access to shard \p S: wait-free inside an
-  /// epoch section tagged with the shard's gate when no writer is
-  /// active on it, else under the shard's reader lock. \p Body may run
-  /// twice only in the sense that the epoch attempt is abandoned
-  /// *before* Body starts — Body itself always runs exactly once.
-  template <typename BodyT> void readShard(unsigned S, BodyT &&Body) const {
-    {
-      EpochGuard Guard(&Gates[S]);
-      if (!Gates[S].writerActive()) {
-        Body();
-        return;
-      }
-    }
-    auto Lock = Locks.shared(S);
-    Body();
-  }
-
-  /// Fence covering every shard's gate (fan-out mutations).
-  EpochWriterFence fenceAll() {
-    return EpochWriterFence(Gates.get(), AllShardIdx.data(),
-                            AllShardIdx.size());
-  }
 
   /// The single shard a transact op touches, or nullopt when it must
   /// run under every stripe: its pattern misses the shard column, it
@@ -487,42 +376,35 @@ private:
   /// conflict probe itself cannot be confined to one shard.
   std::optional<unsigned> txRoutedShard(const TxOp &Op) const;
 
+  /// Runs \p Body() holding exactly the stripes of \p Plan (ascending),
+  /// with their epoch gates raised.
+  template <typename BodyT>
+  decltype(auto) withPlanLocks(const TxLockPlan &Plan, BodyT &&Body) {
+    if (Plan.AllShards)
+      return Core.writeAll(Body);
+    return Core.writeStripes(Plan.Stripes.data(), Plan.Stripes.size(), Body);
+  }
+
   /// Applies the batch with every stripe in \p Scope already held
   /// exclusively by the caller (Scope lists all stripes for fan-out
-  /// batches); maintains Count from the scope's size delta and stamps
-  /// the commit ticket.
+  /// batches) and stamps the commit ticket; the write helper holding
+  /// the stripes moves the size counter.
   TxResult transactLocked(const std::vector<TxOp> &Ops,
                           const std::vector<unsigned> &Scope);
 
   ShardRouter Router;
-  StripedLockSet Locks;
-  /// One writer gate per shard for the epoch read path (cache-line
-  /// padded, like the stripes).
-  std::unique_ptr<EpochGate[]> Gates;
-  /// 0..NumShards-1, for all-gate fences.
-  std::vector<unsigned> AllShardIdx;
   /// The facade's own immutable copy of the decomposition: the source
-  /// for spec()/catalog()/decomp() and for COW shard clones, readable
+  /// for spec()/catalog()/decomp() and for fresh shards, readable
   /// without any lock.
   Decomposition Proto;
-  /// The live shard instances. shared_ptr: snapshot() pins the current
-  /// instances by reference and writers COW-swap pinned ones (see
-  /// writable()); each slot is only ever read or written under its
-  /// stripe / gate discipline, never concurrently with the swap.
-  std::vector<std::shared_ptr<SynthesizedRelation>> Shards;
-  /// Pin counter per shard slot, paired with Shards[S]: how many live
-  /// Snapshot handles pin that state generation. Lifetime rides a
-  /// shared_ptr because handles may outlive the relation; see
-  /// writable() for the acquire/release protocol.
-  std::vector<std::shared_ptr<std::atomic<size_t>>> Pins;
-  std::atomic<size_t> Count{0};
+  /// Shard slots, stripes, epoch gates, COW snapshots and the count.
+  ShardedFacade<SynthesizedRelation> Core;
   /// Monotone commit tickets for transact (see TxResult::Ticket).
   std::atomic<uint64_t> TxTickets{1};
   /// Durability hook (setCommitHook) and the mutex making ticket draw
   /// + hook call one atomic step, so hook order == ticket order.
   CommitHook Hook;
   std::mutex HookMu;
-  size_t ScanQueueCap;
   /// True if every FD's left-hand side contains the shard column, so
   /// every conflict probe for a tuple lands in that tuple's own shard
   /// and routed transact ops can validate FDs shard-locally.

@@ -142,6 +142,33 @@ public:
     }
   }
 
+  /// Exclusive acquisition of the ascending, duplicate-free stripes
+  /// \p Idx[0..N) under one seniority ticket: claims first, deferral to
+  /// older claimants while holding nothing, then the ascending climb,
+  /// clearing each claim as its stripe is won. Allocation-free; the
+  /// caller owns the index array and releases with unlockSet.
+  void lockSet(const unsigned *Idx, size_t N) const {
+    uint64_t T = drawTicket();
+    for (size_t I = 0; I != N; ++I) {
+      assert(Idx[I] < Count && "stripe index out of range");
+      assert((I == 0 || Idx[I - 1] < Idx[I]) &&
+             "stripe set must be ascending and duplicate-free");
+      claimStripe(Idx[I], T);
+    }
+    for (size_t I = 0; I != N; ++I)
+      deferToOlder(Idx[I], T);
+    for (size_t I = 0; I != N; ++I) {
+      stripe(Idx[I]).lock();
+      clearClaim(Idx[I], T);
+    }
+  }
+
+  /// Releases a lockSet acquisition, in reverse order.
+  void unlockSet(const unsigned *Idx, size_t N) const {
+    for (size_t I = N; I != 0; --I)
+      stripe(Idx[I - 1]).unlock();
+  }
+
   /// The currently advertised claim ticket on \p I (0 = none); for
   /// tests asserting the fairness protocol.
   uint64_t claimOf(unsigned I) const {
@@ -240,22 +267,9 @@ public:
     std::sort(Indices.begin(), Indices.end());
     Indices.erase(std::unique(Indices.begin(), Indices.end()),
                   Indices.end());
-    uint64_t T = Locks.drawTicket();
-    for (unsigned I : Indices) {
-      assert(I < Locks.numStripes() && "stripe index out of range");
-      Locks.claimStripe(I, T);
-    }
-    for (unsigned I : Indices)
-      Locks.deferToOlder(I, T);
-    for (unsigned I : Indices) {
-      Locks.stripe(I).lock();
-      Locks.clearClaim(I, T);
-    }
+    Locks.lockSet(Indices.data(), Indices.size());
   }
-  ~ShardSetGuard() {
-    for (size_t I = Indices.size(); I != 0; --I)
-      Locks.stripe(Indices[I - 1]).unlock();
-  }
+  ~ShardSetGuard() { Locks.unlockSet(Indices.data(), Indices.size()); }
 
   ShardSetGuard(const ShardSetGuard &) = delete;
   ShardSetGuard &operator=(const ShardSetGuard &) = delete;

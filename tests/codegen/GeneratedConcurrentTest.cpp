@@ -734,52 +734,39 @@ TEST(GeneratedConcurrentTest, AccountTransactSingleThreadSemantics) {
 }
 
 //===----------------------------------------------------------------------===
-// The `wire` directive: account_tx.relc also emits genconc::account_wire,
-// a constexpr opcode -> facade-method dispatch table matching the
-// relserved protocol (src/server/Wire.h).
+// Probe before copy-on-write: a keyed remove/update that finds nothing
+// must not clone a shard a live snapshot pins — neither routed
+// (sched_conc_ns) nor fanned out (sched_conc_state, whose ns/pid key
+// misses the shard column).
 //===----------------------------------------------------------------------===
 
-TEST(GeneratedConcurrentTest, WireDispatchTableMapsOpcodesToFacadeMethods) {
-  using Wire = genconc::account_wire;
-  // The table is constexpr: dispatch decisions can be made at compile
-  // time by a server shim. (Exact row count depends on the pass
-  // pipeline — DeadIndexElimination prunes unreachable facade support
-  // ops — so only the requested methods' rows are asserted.)
-  static_assert(Wire::NumEntries >= 4, "account_tx wire table size");
-  static_assert(Wire::lookup(0x02) != nullptr, "insert row");
-  static_assert(Wire::lookup(0x01) == nullptr, "ping has no method row");
+template <typename GenT> void expectAbsentKeyMutationsKeepPinnedShards() {
+  GenT Gen;
+  for (int64_t Ns = 0; Ns != 8; ++Ns)
+    for (int64_t Pid = 0; Pid != 4; ++Pid)
+      ASSERT_TRUE(Gen.insert(Ns, Pid, Pid % 3, Pid));
+  auto Snap = Gen.snapshot();
+  std::vector<const void *> Live;
+  for (unsigned S = 0; S != GenT::NumShards; ++S)
+    Live.push_back(&Gen.shard(S));
 
-  const Wire::Entry *Insert = Wire::lookup(0x02);
-  ASSERT_NE(Insert, nullptr);
-  EXPECT_STREQ(Insert->Method, "insert");
-  EXPECT_EQ(Insert->Arity, 0u);
+  for (int64_t Ns : {int64_t(0), int64_t(100)}) {
+    EXPECT_FALSE(Gen.remove_by_ns_pid(Ns, 99));
+    EXPECT_FALSE(Gen.update_by_ns_pid(Ns, 99, 1, 1));
+  }
+  for (unsigned S = 0; S != GenT::NumShards; ++S)
+    EXPECT_EQ(&Gen.shard(S), Live[S]) << "shard " << S << " was cloned";
+  EXPECT_EQ(Gen.size(), 32u);
 
-  // A remove row exists only when the pipeline kept the facade
-  // remove_by support op; when present it must name the real method.
-  if (const Wire::Entry *Remove = Wire::lookup(0x03))
-    EXPECT_STREQ(Remove->Method, "remove_by_owner_acct");
+  // A hit still clones exactly its owner and leaves the handle frozen.
+  EXPECT_TRUE(Gen.remove_by_ns_pid(3, 1));
+  EXPECT_EQ(Gen.size(), 31u);
+  EXPECT_EQ(Snap.size(), 32u);
+}
 
-  const Wire::Entry *Query = Wire::lookup(0x05);
-  ASSERT_NE(Query, nullptr);
-  EXPECT_STREQ(Query->Method, "all");
-
-  const Wire::Entry *Transact = Wire::lookup(0x06);
-  ASSERT_NE(Transact, nullptr);
-  EXPECT_STREQ(Transact->Method, "transact_by_owner_acct");
-  EXPECT_EQ(Transact->Arity, 2u);
-
-  const Wire::Entry *Size = Wire::lookup(0x07);
-  ASSERT_NE(Size, nullptr);
-  EXPECT_STREQ(Size->Method, "size");
-
-  // Unknown opcodes dispatch to nothing.
-  EXPECT_EQ(Wire::lookup(0x7F), nullptr);
-  EXPECT_EQ(Wire::lookup(0x00), nullptr);
-
-  // Every named method really exists on the facade with the advertised
-  // shape (compile-time check by taking the member pointers).
-  [[maybe_unused]] auto InsertFn = &genconc::account_concurrent::insert;
-  [[maybe_unused]] auto SizeFn = &genconc::account_concurrent::size;
+TEST(GeneratedConcurrentTest, AbsentKeyMutationsDoNotClonePinnedShards) {
+  expectAbsentKeyMutationsKeepPinnedShards<genconc::sched_ns_concurrent>();
+  expectAbsentKeyMutationsKeepPinnedShards<genconc::sched_state_concurrent>();
 }
 
 //===----------------------------------------------------------------------===

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace relc;
 
 namespace {
@@ -242,41 +244,28 @@ TEST(SpecFileTest, ErrorUnknownShardColumn) {
   EXPECT_NE(R.Error.find("shard column"), std::string::npos);
 }
 
-TEST(SpecFileTest, ParsesWireDirective) {
-  std::string Text = std::string(SchedulerFile) +
-                     "concurrency sharded 4 on ns\nwire\n";
-  SpecFileResult R = parseSpecFile(Text);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_TRUE(R.File->Options.WireDispatch);
-  // Directive order does not matter: wire before concurrency is fine.
-  Text = std::string(SchedulerFile) + "wire\nconcurrency sharded 4\n";
-  R = parseSpecFile(Text);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_TRUE(R.File->Options.WireDispatch);
-}
-
-TEST(SpecFileTest, WireDefaultsOff) {
-  SpecFileResult R = parseSpecFile(SchedulerFile);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_FALSE(R.File->Options.WireDispatch);
-}
-
-TEST(SpecFileTest, ErrorWireWithoutConcurrency) {
-  std::string Text = std::string(SchedulerFile) + "wire\n";
-  SpecFileResult R = parseSpecFile(Text);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("requires a concurrency facade"),
-            std::string::npos)
-      << R.Error;
-}
-
-TEST(SpecFileTest, ErrorWireTakesNoArguments) {
-  std::string Text = std::string(SchedulerFile) +
-                     "concurrency sharded 4\nwire dispatch\n";
-  SpecFileResult R = parseSpecFile(Text);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("takes no arguments"), std::string::npos)
-      << R.Error;
+TEST(SpecFileTest, WireIsAnUnknownDirective) {
+  // `wire` is not a directive: with or without a facade, with or
+  // without arguments, it fails as an ordinary unknown directive
+  // anchored at its line and column.
+  std::string Base = SchedulerFile;
+  unsigned BaseLines =
+      static_cast<unsigned>(std::count(Base.begin(), Base.end(), '\n'));
+  struct Case {
+    const char *Tail;
+    unsigned WireLine; // 1-based within Tail
+  };
+  for (Case C : {Case{"concurrency sharded 4 on ns\nwire\n", 2},
+                 Case{"wire\nconcurrency sharded 4\n", 1},
+                 Case{"wire\n", 1},
+                 Case{"concurrency sharded 4\nwire dispatch\n", 2}}) {
+    SpecFileResult R = parseSpecFile(Base + C.Tail);
+    ASSERT_FALSE(R.ok()) << C.Tail;
+    EXPECT_NE(R.Error.find("unknown directive: 'wire"), std::string::npos)
+        << R.Error;
+    EXPECT_EQ(R.Line, BaseLines + C.WireLine) << C.Tail;
+    EXPECT_EQ(R.Col, 1u) << C.Tail;
+  }
 }
 
 TEST(SpecFileTest, ParsesTransactionDirective) {

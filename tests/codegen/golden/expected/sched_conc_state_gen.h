@@ -11,18 +11,13 @@
 #include "ds/IntrusiveList.h"
 #include "ds/VectorMap.h"
 #include "support/Arena.h"
-#include "concurrent/BoundedQueue.h"
-#include "concurrent/Epoch.h"
-#include "concurrent/ScanPool.h"
-#include "concurrent/StripedLock.h"
+#include "concurrent/ShardedFacade.h"
 #include "support/Hashing.h"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -365,383 +360,169 @@ namespace genconc {
 
   /// Sharded thread-safe facade over sched_state: the relation is hash-
   /// partitioned across NumShards sched_state sub-instances by column
-  /// 'state', one reader-writer stripe per shard. Operations whose
-  /// pattern binds the shard column take exactly one stripe; the rest
-  /// fan out (reads per shard in turn, mutations under all writer locks
-  /// in ascending order). Reads are wait-free on the common path: an
-  /// epoch read-side section (relc::EpochGuard) plus a check of the
-  /// shard's writer gate replaces the reader lock, which is taken only
-  /// while a writer holds the gate. Writers drain overlapping sections
-  /// with relc::EpochWriterFence before mutating. The lock discipline,
-  /// visibility guarantees, and the no-reentrant-callback rule mirror the
-  /// interpreted relc::ConcurrentRelation (docs/CONCURRENCY.md).
-  /// Shard state is copy-on-write: snapshot() freezes the current shard
-  /// set behind a refcounted handle in O(NumShards), writers clone a
-  /// pinned shard before touching it, and frozen shards are reclaimed
-  /// through the process epoch manager once unpinned.
+  /// 'state'. Operations whose pattern binds the shard column take
+  /// one stripe; the rest fan out. Each method hands a typed body to
+  /// relc::ShardedFacade (concurrent/ShardedFacade.h), which owns the
+  /// locking, the wait-free read path, copy-on-write snapshots and the
+  /// parallel fan-out, shared with the interpreted
+  /// relc::ConcurrentRelation (docs/CONCURRENCY.md).
   class sched_state_concurrent {
     public:
       static constexpr unsigned NumShards = 3;
-      sched_state_concurrent() {
-      for (auto &S : Shards)
-        S = std::make_shared<sched_state>();
-      for (auto &P : Pins)
-        P = std::make_shared<std::atomic<size_t>>(0);
-    }
+      using Snapshot = relc::ShardedFacade<sched_state>::Snapshot;
+      sched_state_concurrent() = default;
       sched_state_concurrent(const sched_state_concurrent &) = delete;
       sched_state_concurrent &operator=(const sched_state_concurrent &) = delete;
       /// Lock-free; exact whenever it does not race a mutation.
-      size_t size() const { return Size.load(std::memory_order_relaxed); }
+      size_t size() const { return Core.size(); }
       bool empty() const { return size() == 0; }
       /// Direct shard access for tests and benches; the caller is
       /// responsible for exclusion.
-      const sched_state &shard(unsigned I) const { return *Shards[I]; }
+      const sched_state &shard(unsigned I) const { return Core.shard(I); }
 
       /// insert r t, routed to the owning shard under its writer lock.
       bool insert(int64_t v_ns, int64_t v_pid, int64_t v_state, int64_t v_cpu) {
-      unsigned S = shardOf(v_state);
-      auto Lock = Locks.exclusive(S);
-      relc::EpochWriterFence Fence(Gates[S]);
-      bool Changed = writable(S).insert(v_ns, v_pid, v_state, v_cpu);
-      if (Changed)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      return Changed;
+      return Core.writeOne(shardOf(v_state), [&](sched_state &Sh) {
+        return Sh.insert(v_ns, v_pid, v_state, v_cpu);
+      });
     }
 
-      /// all: fan-out, each shard in turn via readShard
-      /// (per-shard-consistent, not a global snapshot).
+      /// all: fan-out, each shard in turn (per-shard-consistent,
+      /// not a global snapshot).
       template <typename FnT> void all(FnT &&Emit) const {
-      for (unsigned S = 0; S != NumShards; ++S)
-        readShard(S, [&] { Shards[S]->all(Emit); });
+      Core.readEach([&](const sched_state &Sh) { Sh.all(Emit); });
     }
-      /// As all, with one pooled worker per shard (the process-
-      /// wide relc::ScanPool — no thread spawn per call) feeding a bounded
-      /// merge queue in ScanChunkRows-row chunks: the same multiset of
-      /// rows, in arbitrary interleaved order. Workers read under shard
-      /// reader locks, not epoch sections — pool tasks may block on queue
-      /// backpressure, which a read-side section must never do. Emit runs
-      /// on the calling thread and must not call back into this facade.
+
+      /// As all, with one pooled worker per shard feeding a bounded
+      /// merge queue: the same multiset of rows, in arbitrary order. Emit
+      /// runs on the calling thread and must not call back into this facade.
       template <typename FnT> void all_parallel(FnT &&Emit) const {
-      using ChunkT = std::vector<std::array<int64_t, 4>>;
-      relc::BoundedQueue<ChunkT> Queue(ScanQueueChunks, NumShards);
-      relc::ScanPool::TaskGroup Tasks(relc::ScanPool::global());
-      for (unsigned S = 0; S != NumShards; ++S) {
-        Tasks.submit([&, S] {
-          auto Lock = Locks.shared(S);
-          ChunkT C;
-          C.reserve(ScanChunkRows);
-          Shards[S]->all([&](int64_t r0, int64_t r1, int64_t r2, int64_t r3) {
-            C.push_back(std::array<int64_t, 4>{r0, r1, r2, r3});
-            if (C.size() == ScanChunkRows) {
-              Queue.push(std::move(C));
-              C.clear();
-              C.reserve(ScanChunkRows);
-            }
-          });
-          if (!C.empty())
-            Queue.push(std::move(C));
-          Queue.producerDone();
-        });
-      }
-      ChunkT Chunk;
-      while (Queue.pop(Chunk))
-        for (const std::array<int64_t, 4> &Row : Chunk)
-          Emit(Row[0], Row[1], Row[2], Row[3]);
-      Tasks.wait();
+      using Row = std::array<int64_t, 4>;
+      auto Produce = [&](const sched_state &Sh, auto &Push) {
+        Sh.all([&](int64_t r0, int64_t r1, int64_t r2, int64_t r3) { Push({r0, r1, r2, r3}); });
+      };
+      Core.parallelScan<Row>(Produce, [&](const Row &R) { Emit(R[0], R[1], R[2], R[3]); });
     }
 
       /// by_state: routed (the inputs bind 'state'), one shard,
-      /// wait-free via readShard (reader lock only while a writer holds
-      /// the shard's gate).
+      /// wait-free (reader lock only while a writer holds the shard).
       template <typename FnT> void by_state(int64_t q_state, FnT &&Emit) const {
-      unsigned S = shardOf(q_state);
-      readShard(S, [&] { Shards[S]->by_state(q_state, Emit); });
+      Core.readOne(shardOf(q_state), [&](const sched_state &Sh) { Sh.by_state(q_state, Emit); });
     }
 
       /// remove_by_ns_pid: the key misses 'state', so the owner is
-      /// unknown — all writer locks, try each shard (at most one match).
+      /// unknown — all writer locks, find the one match.
       bool remove_by_ns_pid(int64_t q_ns, int64_t q_pid) {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      for (unsigned S = 0; S != NumShards; ++S) {
-        if (writable(S).remove_by_ns_pid(q_ns, q_pid)) {
-          Size.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      return false;
+      auto Holds = [&](const sched_state &Sh) {
+        int64_t c_state = 0;
+        int64_t c_cpu = 0;
+        return Sh.lookup_by_ns_pid(q_ns, q_pid, c_state, c_cpu);
+      };
+      return Core.writeAll([&] {
+        unsigned S = Core.findShard(Holds);
+        return S != NumShards && Core.writable(S).remove_by_ns_pid(q_ns, q_pid);
+      });
     }
 
       /// update_by_ns_pid: rewrites every non-key column including 'state',
       /// so the tuple may change owners — all writer locks, remove from
       /// the current owner, reinsert into the new one (migration).
       bool update_by_ns_pid(int64_t q_ns, int64_t q_pid, int64_t v_state, int64_t v_cpu) {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      for (unsigned S = 0; S != NumShards; ++S) {
-        if (writable(S).remove_by_ns_pid(q_ns, q_pid)) {
-          if (!writable(shardOf(v_state)).insert(q_ns, q_pid, v_state, v_cpu))
-            Size.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      return false;
+      auto Holds = [&](const sched_state &Sh) {
+        int64_t c_state = 0;
+        int64_t c_cpu = 0;
+        return Sh.lookup_by_ns_pid(q_ns, q_pid, c_state, c_cpu);
+      };
+      return Core.writeAll([&] {
+        unsigned S = Core.findShard(Holds);
+        if (S == NumShards)
+          return false;
+        Core.writable(S).remove_by_ns_pid(q_ns, q_pid);
+        Core.writable(shardOf(v_state)).insert(q_ns, q_pid, v_state, v_cpu);
+        return true;
+      });
     }
 
       /// upsert_by_ns_pid: the key misses 'state' — all writer locks;
       /// the new values may rewrite the shard column, migrating the
       /// tuple to its new owner.
       template <typename FnT> bool upsert_by_ns_pid(int64_t q_ns, int64_t q_pid, FnT &&Fn) {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      int64_t c_state = 0;
-      int64_t c_cpu = 0;
-      unsigned Owner = NumShards;
-      for (unsigned S = 0; S != NumShards && Owner == NumShards; ++S)
-        if (Shards[S]->lookup_by_ns_pid(q_ns, q_pid, c_state, c_cpu))
-          Owner = S;
-      bool Found = Owner != NumShards;
-      Fn(Found, c_state, c_cpu);
-      if (Found)
-        writable(Owner).remove_by_ns_pid(q_ns, q_pid);
-      bool Inserted = writable(shardOf(c_state)).insert(q_ns, q_pid, c_state, c_cpu);
-      if (!Found && Inserted)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      else if (Found && !Inserted)
-        Size.fetch_sub(1, std::memory_order_relaxed);
-      return !Found;
+      return Core.writeAll([&] {
+        int64_t c_state = 0;
+        int64_t c_cpu = 0;
+        unsigned Owner = Core.findShard([&](const sched_state &Sh) {
+          return Sh.lookup_by_ns_pid(q_ns, q_pid, c_state, c_cpu);
+        });
+        bool Found = Owner != NumShards;
+        Fn(Found, c_state, c_cpu);
+        if (Found)
+          Core.writable(Owner).remove_by_ns_pid(q_ns, q_pid);
+        Core.writable(shardOf(c_state)).insert(q_ns, q_pid, c_state, c_cpu);
+        return !Found;
+      });
     }
 
-      /// transact_by_ns_pid: atomic two-key read-modify-write (transfer-style
-      /// transaction) over key pattern {ns_pid}. Resolves both tuples,
-      /// calls Fn(bool FoundA, int64_t &a_..., bool FoundB, int64_t &b_...)
-      /// exactly once with the pre-transaction non-key values (zeros when
-      /// absent), then writes both sides back — an absent side is inserted
+      /// transact_by_ns_pid: atomic 2-key read-modify-write over key pattern
+      /// {ns_pid}. Resolves every side, calls Fn(bool FoundA, int64_t &a_...,
+      /// ...) exactly once with the pre-transaction non-key values (zeros when
+      /// absent), then writes every side back — an absent side is inserted
       /// with whatever values Fn leaves. Fn may return false to abort
       /// (nothing is written); a void Fn always commits. Returns true if
       /// the transaction committed.
-      /// Locking: the key misses 'state', so the owners are unknown
-      /// and the write-back may migrate tuples — every writer stripe, in
-      /// ascending order.
+      /// Locking: the key misses 'state' — every writer stripe.
       template <typename FnT> bool transact_by_ns_pid(int64_t a_ns, int64_t a_pid, int64_t b_ns, int64_t b_pid, FnT &&Fn) {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      int64_t a_state = 0;
-      int64_t b_state = 0;
-      int64_t a_cpu = 0;
-      int64_t b_cpu = 0;
-      bool FoundA = false;
-      for (unsigned S = 0; S != NumShards && !FoundA; ++S)
-        FoundA = Shards[S]->lookup_by_ns_pid(a_ns, a_pid, a_state, a_cpu);
-      bool FoundB = false;
-      for (unsigned S = 0; S != NumShards && !FoundB; ++S)
-        FoundB = Shards[S]->lookup_by_ns_pid(b_ns, b_pid, b_state, b_cpu);
-      bool Commit = true;
-      if constexpr (std::is_void_v<decltype(Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu))>)
-        Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu);
-      else
-        Commit = Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu);
-      if (!Commit)
-        return false;
-      tx_apply_by_ns_pid(a_ns, a_pid, a_state, a_cpu);
-      tx_apply_by_ns_pid(b_ns, b_pid, b_state, b_cpu);
-      return true;
+      return Core.writeAll([&] {
+        int64_t a_state = 0;
+        int64_t b_state = 0;
+        int64_t a_cpu = 0;
+        int64_t b_cpu = 0;
+        bool FoundA = Core.findShard([&](const sched_state &Sh) {
+          return Sh.lookup_by_ns_pid(a_ns, a_pid, a_state, a_cpu);
+        }) != NumShards;
+        bool FoundB = Core.findShard([&](const sched_state &Sh) {
+          return Sh.lookup_by_ns_pid(b_ns, b_pid, b_state, b_cpu);
+        }) != NumShards;
+        bool Commit = true;
+        if constexpr (std::is_void_v<decltype(Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu))>)
+          Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu);
+        else
+          Commit = Fn(FoundA, a_state, a_cpu, FoundB, b_state, b_cpu);
+        if (!Commit)
+          return false;
+        tx_apply_by_ns_pid(a_ns, a_pid, a_state, a_cpu);
+        tx_apply_by_ns_pid(b_ns, b_pid, b_state, b_cpu);
+        return true;
+      });
     }
 
     private:
-      /// Write-back half of transact_by_ns_pid under every writer lock (held by
-      /// the caller): upserts the key to the given values, migrating the
-      /// tuple to the shard of the new 'state' value.
+      /// Write-back half of transact_by_ns_pid: upserts the key to the given values.
       void tx_apply_by_ns_pid(int64_t q_ns, int64_t q_pid, int64_t c_state, int64_t c_cpu) {
       int64_t o_state = 0;
       int64_t o_cpu = 0;
-      unsigned Owner = NumShards;
-      for (unsigned S = 0; S != NumShards && Owner == NumShards; ++S)
-        if (Shards[S]->lookup_by_ns_pid(q_ns, q_pid, o_state, o_cpu))
-          Owner = S;
+      unsigned Owner = Core.findShard([&](const sched_state &Sh) {
+        return Sh.lookup_by_ns_pid(q_ns, q_pid, o_state, o_cpu);
+      });
       if (Owner != NumShards)
-        writable(Owner).remove_by_ns_pid(q_ns, q_pid);
-      bool Inserted = writable(shardOf(c_state)).insert(q_ns, q_pid, c_state, c_cpu);
-      if (Owner == NumShards && Inserted)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      else if (Owner != NumShards && !Inserted)
-        Size.fetch_sub(1, std::memory_order_relaxed);
+        Core.writable(Owner).remove_by_ns_pid(q_ns, q_pid);
+      Core.writable(shardOf(c_state)).insert(q_ns, q_pid, c_state, c_cpu);
     }
 
     public:
 
-      /// Empties every shard (all writer locks). Shards pinned by a
-      /// snapshot handle are replaced fresh and retired, not reset
-      /// in place.
-      void clear() {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      for (unsigned S = 0; S != NumShards; ++S) {
-        if (Pins[S]->load(std::memory_order_acquire) == 0) {
-          Shards[S]->clear();
-          continue;
-        }
-        retireShard(std::move(Shards[S]));
-        Shards[S] = std::make_shared<sched_state>();
-        Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-      }
-      Size.store(0, std::memory_order_relaxed);
-    }
+      /// Empties every shard (all writer locks).
+      void clear() { Core.clear(); }
 
-      /// A consistent point-in-time view of the whole relation: the
-      /// shard set frozen by snapshot(). Holding a handle pins the
-      /// frozen shards — writers copy-on-write around them — and
-      /// reads against it need no locks at all.
-      class Snapshot {
-      public:
-        Snapshot() = default;
-        /// Copies share the pinned generation: the source already holds
-        /// every count >= 1, so relaxed increments suffice.
-        Snapshot(const Snapshot &O) : Count(O.Count) {
-        for (unsigned S = 0; S != NumShards; ++S) {
-          Shards[S] = O.Shards[S];
-          Pins[S] = O.Pins[S];
-          if (Pins[S])
-            Pins[S]->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-        Snapshot &operator=(const Snapshot &O) {
-        if (this != &O) {
-          Snapshot Tmp(O);
-          *this = std::move(Tmp);
-        }
-        return *this;
-      }
-        Snapshot(Snapshot &&O) noexcept = default;
-        Snapshot &operator=(Snapshot &&O) noexcept {
-        if (this != &O) {
-          unpinAll();
-          for (unsigned S = 0; S != NumShards; ++S) {
-            Shards[S] = std::move(O.Shards[S]);
-            Pins[S] = std::move(O.Pins[S]);
-          }
-          Count = O.Count;
-        }
-        return *this;
-      }
-        ~Snapshot() { unpinAll(); }
-        bool valid() const { return Shards[0] != nullptr; }
-        size_t size() const { return Count; }
-        bool empty() const { return Count == 0; }
-        const sched_state &shard(unsigned I) const { return *Shards[I]; }
-        /// Visits every row (ascending column order), shard by shard.
-        template <typename FnT> void scanRows(FnT &&Emit) const {
-        for (const auto &S : Shards)
-          S->scanRows(Emit);
-      }
-
-      private:
-        friend class sched_state_concurrent;
-        /// Release-decrements pair with writable()'s acquire probe: a
-        /// writer that reads zero happens-after every read this handle
-        /// made of the pinned state.
-        void unpinAll() {
-        for (const auto &P : Pins)
-          if (P)
-            P->fetch_sub(1, std::memory_order_release);
-      }
-        std::shared_ptr<const sched_state> Shards[NumShards];
-        std::shared_ptr<std::atomic<size_t>> Pins[NumShards];
-        size_t Count = 0;
-    };
-
-      /// O(NumShards), no per-tuple work: under a brief all-stripe
-      /// SHARED acquisition the shard pointers are copied into the
-      /// handle. Writers landing afterwards clone pinned shards
-      /// before mutating, so the view never moves; the frozen state
-      /// is handed to the process epoch manager when the last handle
-      /// drops.
-      Snapshot snapshot() const {
-      relc::AllShardsGuard Guard(Locks, relc::AllShardsGuard::Shared);
-      Snapshot Snap;
-      for (unsigned S = 0; S != NumShards; ++S) {
-        Snap.Shards[S] = Shards[S];
-        Snap.Pins[S] = Pins[S];
-        // The only 0 -> 1 transition: writers are excluded by the
-        // shared stripe hold, so relaxed suffices here — the edge
-        // writers need comes from the handle's release decrement.
-        Snap.Pins[S]->fetch_add(1, std::memory_order_relaxed);
-      }
-      Snap.Count = Size.load(std::memory_order_relaxed);
-      return Snap;
-    }
+      /// A consistent point-in-time view of the whole relation in
+      /// O(NumShards): the handle pins the current shards, writers
+      /// copy-on-write around them, and reads need no locks.
+      Snapshot snapshot() const { return Core.snapshot(); }
 
     private:
-      /// Rows per chunk of *_parallel queries: result rows cross the
-      /// merge queue in batches so the queue mutex is taken once per
-      /// chunk, not once per row.
-      static constexpr size_t ScanChunkRows = 128;
-      /// Slots (chunks) in the bounded merge queue.
-      static constexpr size_t ScanQueueChunks = 8;
       static unsigned shardOf(int64_t V) {
       return static_cast<unsigned>(relc::hashMix64(static_cast<uint64_t>(V)) % NumShards);
     }
-      /// Runs Body over shard S: wait-free inside an epoch section when
-      /// the shard's writer gate is down, else under the shard's reader
-      /// lock (the fallback every new reader takes while a writer
-      /// fence is up). Body must not block or mutate the facade.
-      template <typename BodyT> void readShard(unsigned S, BodyT &&Body) const {
-      {
-        relc::EpochGuard Guard(&Gates[S]);
-        if (!Gates[S].writerActive()) {
-          Body();
-          return;
-        }
-      }
-      auto Lock = Locks.shared(S);
-      Body();
-    }
-      /// Raises every shard gate and drains the overlapping wait-free
-      /// read sections; the caller holds all writer locks.
-      relc::EpochWriterFence fenceAll() {
-      return relc::EpochWriterFence(Gates, AllShardIdx, NumShards);
-    }
-      static constexpr unsigned AllShardIdx[NumShards] = {0, 1, 2};
-      /// The COW write-side hook: every mutation reaches its shard
-      /// through this. An unpinned shard (pin count 0) passes
-      /// through untouched — the steady-state fast path. A pinned
-      /// one is cloned row by row and the frozen original retired.
-      /// Sound because the caller holds the shard's writer stripe:
-      /// 0 -> 1 happens only under snapshot()'s all-stripe SHARED
-      /// hold (excluded here), handle copies increment counts their
-      /// source keeps >= 1, and drops release-decrement — so an
-      /// acquire load of zero happens-after every read a dropped
-      /// handle made, making in-place mutation race-free.
-      sched_state &writable(unsigned S) {
-      std::shared_ptr<sched_state> &Cur = Shards[S];
-      if (Pins[S]->load(std::memory_order_acquire) == 0)
-        return *Cur;
-      auto Fresh = std::make_shared<sched_state>();
-      Cur->scanRows([&](int64_t v_ns, int64_t v_pid, int64_t v_state, int64_t v_cpu) {
-        Fresh->insert(v_ns, v_pid, v_state, v_cpu);
-      });
-      retireShard(std::move(Cur));
-      Cur = std::move(Fresh);
-      // A new pin generation: handles keep their detached counter;
-      // the live slot starts unpinned again.
-      Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-      return *Cur;
-    }
-      /// Hands a frozen shard to the process epoch manager: it is
-      /// freed once every in-flight epoch reader has moved on AND
-      /// the last snapshot handle pinning it drops.
-      static void retireShard(std::shared_ptr<sched_state> Old) {
-      relc::EpochManager::global().retireObject(
-          new std::shared_ptr<sched_state>(std::move(Old)));
-    }
-      relc::StripedLockSet Locks{NumShards};
-      relc::EpochGate Gates[NumShards];
-      std::shared_ptr<sched_state> Shards[NumShards];
-      /// One pin counter per shard-state generation, swapped fresh
-      /// on every copy-on-write clone. Nonzero means a snapshot
-      /// handle still reads that generation.
-      std::shared_ptr<std::atomic<size_t>> Pins[NumShards];
-      std::atomic<size_t> Size{0};
+      relc::ShardedFacade<sched_state> Core{NumShards};
   };
 
 } // namespace genconc

@@ -11,18 +11,13 @@
 #include "ds/IntrusiveList.h"
 #include "ds/VectorMap.h"
 #include "support/Arena.h"
-#include "concurrent/BoundedQueue.h"
-#include "concurrent/Epoch.h"
-#include "concurrent/ScanPool.h"
-#include "concurrent/StripedLock.h"
+#include "concurrent/ShardedFacade.h"
 #include "support/Hashing.h"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -275,344 +270,126 @@ namespace genconc {
 
   /// Sharded thread-safe facade over ledger: the relation is hash-
   /// partitioned across NumShards ledger sub-instances by column
-  /// 'bank', one reader-writer stripe per shard. Operations whose
-  /// pattern binds the shard column take exactly one stripe; the rest
-  /// fan out (reads per shard in turn, mutations under all writer locks
-  /// in ascending order). Reads are wait-free on the common path: an
-  /// epoch read-side section (relc::EpochGuard) plus a check of the
-  /// shard's writer gate replaces the reader lock, which is taken only
-  /// while a writer holds the gate. Writers drain overlapping sections
-  /// with relc::EpochWriterFence before mutating. The lock discipline,
-  /// visibility guarantees, and the no-reentrant-callback rule mirror the
-  /// interpreted relc::ConcurrentRelation (docs/CONCURRENCY.md).
-  /// Shard state is copy-on-write: snapshot() freezes the current shard
-  /// set behind a refcounted handle in O(NumShards), writers clone a
-  /// pinned shard before touching it, and frozen shards are reclaimed
-  /// through the process epoch manager once unpinned.
+  /// 'bank'. Operations whose pattern binds the shard column take
+  /// one stripe; the rest fan out. Each method hands a typed body to
+  /// relc::ShardedFacade (concurrent/ShardedFacade.h), which owns the
+  /// locking, the wait-free read path, copy-on-write snapshots and the
+  /// parallel fan-out, shared with the interpreted
+  /// relc::ConcurrentRelation (docs/CONCURRENCY.md).
   class ledger_concurrent {
     public:
       static constexpr unsigned NumShards = 8;
-      ledger_concurrent() {
-      for (auto &S : Shards)
-        S = std::make_shared<ledger>();
-      for (auto &P : Pins)
-        P = std::make_shared<std::atomic<size_t>>(0);
-    }
+      using Snapshot = relc::ShardedFacade<ledger>::Snapshot;
+      ledger_concurrent() = default;
       ledger_concurrent(const ledger_concurrent &) = delete;
       ledger_concurrent &operator=(const ledger_concurrent &) = delete;
       /// Lock-free; exact whenever it does not race a mutation.
-      size_t size() const { return Size.load(std::memory_order_relaxed); }
+      size_t size() const { return Core.size(); }
       bool empty() const { return size() == 0; }
       /// Direct shard access for tests and benches; the caller is
       /// responsible for exclusion.
-      const ledger &shard(unsigned I) const { return *Shards[I]; }
+      const ledger &shard(unsigned I) const { return Core.shard(I); }
 
       /// insert r t, routed to the owning shard under its writer lock.
       bool insert(int64_t v_bank, int64_t v_acct, int64_t v_balance) {
-      unsigned S = shardOf(v_bank);
-      auto Lock = Locks.exclusive(S);
-      relc::EpochWriterFence Fence(Gates[S]);
-      bool Changed = writable(S).insert(v_bank, v_acct, v_balance);
-      if (Changed)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      return Changed;
+      return Core.writeOne(shardOf(v_bank), [&](ledger &Sh) {
+        return Sh.insert(v_bank, v_acct, v_balance);
+      });
     }
 
-      /// all: fan-out, each shard in turn via readShard
-      /// (per-shard-consistent, not a global snapshot).
+      /// all: fan-out, each shard in turn (per-shard-consistent,
+      /// not a global snapshot).
       template <typename FnT> void all(FnT &&Emit) const {
-      for (unsigned S = 0; S != NumShards; ++S)
-        readShard(S, [&] { Shards[S]->all(Emit); });
+      Core.readEach([&](const ledger &Sh) { Sh.all(Emit); });
     }
-      /// As all, with one pooled worker per shard (the process-
-      /// wide relc::ScanPool — no thread spawn per call) feeding a bounded
-      /// merge queue in ScanChunkRows-row chunks: the same multiset of
-      /// rows, in arbitrary interleaved order. Workers read under shard
-      /// reader locks, not epoch sections — pool tasks may block on queue
-      /// backpressure, which a read-side section must never do. Emit runs
-      /// on the calling thread and must not call back into this facade.
+
+      /// As all, with one pooled worker per shard feeding a bounded
+      /// merge queue: the same multiset of rows, in arbitrary order. Emit
+      /// runs on the calling thread and must not call back into this facade.
       template <typename FnT> void all_parallel(FnT &&Emit) const {
-      using ChunkT = std::vector<std::array<int64_t, 3>>;
-      relc::BoundedQueue<ChunkT> Queue(ScanQueueChunks, NumShards);
-      relc::ScanPool::TaskGroup Tasks(relc::ScanPool::global());
-      for (unsigned S = 0; S != NumShards; ++S) {
-        Tasks.submit([&, S] {
-          auto Lock = Locks.shared(S);
-          ChunkT C;
-          C.reserve(ScanChunkRows);
-          Shards[S]->all([&](int64_t r0, int64_t r1, int64_t r2) {
-            C.push_back(std::array<int64_t, 3>{r0, r1, r2});
-            if (C.size() == ScanChunkRows) {
-              Queue.push(std::move(C));
-              C.clear();
-              C.reserve(ScanChunkRows);
-            }
-          });
-          if (!C.empty())
-            Queue.push(std::move(C));
-          Queue.producerDone();
-        });
-      }
-      ChunkT Chunk;
-      while (Queue.pop(Chunk))
-        for (const std::array<int64_t, 3> &Row : Chunk)
-          Emit(Row[0], Row[1], Row[2]);
-      Tasks.wait();
+      using Row = std::array<int64_t, 3>;
+      auto Produce = [&](const ledger &Sh, auto &Push) {
+        Sh.all([&](int64_t r0, int64_t r1, int64_t r2) { Push({r0, r1, r2}); });
+      };
+      Core.parallelScan<Row>(Produce, [&](const Row &R) { Emit(R[0], R[1], R[2]); });
     }
 
       /// remove_by_bank_acct: routed, one shard under its writer lock.
       bool remove_by_bank_acct(int64_t q_bank, int64_t q_acct) {
-      unsigned S = shardOf(q_bank);
-      auto Lock = Locks.exclusive(S);
-      relc::EpochWriterFence Fence(Gates[S]);
-      bool Removed = writable(S).remove_by_bank_acct(q_bank, q_acct);
-      if (Removed)
-        Size.fetch_sub(1, std::memory_order_relaxed);
-      return Removed;
+      auto Holds = [&](const ledger &Sh) {
+        int64_t c_balance = 0;
+        return Sh.lookup_by_bank_acct(q_bank, q_acct, c_balance);
+      };
+      return Core.writeOneIf(shardOf(q_bank), Holds, [&](ledger &Sh) {
+        return Sh.remove_by_bank_acct(q_bank, q_acct);
+      });
     }
 
       /// upsert_by_bank_acct: the atomic read-modify-write, routed — ONE shard
       /// writer lock linearizes the whole cycle (see the sequential
       /// upsert_by_bank_acct for the callback contract).
       template <typename FnT> bool upsert_by_bank_acct(int64_t q_bank, int64_t q_acct, FnT &&Fn) {
-      unsigned S = shardOf(q_bank);
-      auto Lock = Locks.exclusive(S);
-      relc::EpochWriterFence Fence(Gates[S]);
-      ledger &Sh = writable(S);
-      size_t Before = Sh.size();
-      bool Inserted = Sh.upsert_by_bank_acct(q_bank, q_acct, Fn);
-      if (Sh.size() > Before)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      else if (Sh.size() < Before)
-        Size.fetch_sub(1, std::memory_order_relaxed);
-      return Inserted;
+      return Core.writeOne(shardOf(q_bank), [&](ledger &Sh) {
+        return Sh.upsert_by_bank_acct(q_bank, q_acct, Fn);
+      });
     }
 
       /// transact3_by_bank_acct: atomic 3-key read-modify-write over key pattern
-      /// {bank_acct}. Resolves all 3 tuples, calls Fn(bool FoundA, int64_t &a_...,
-      /// ..., bool FoundC, int64_t &c_...) exactly once with the pre-transaction
-      /// non-key values (zeros when absent), then writes every side back —
-      /// an absent side is inserted with whatever values Fn leaves. Fn may
-      /// return false to abort (nothing is written); a void Fn always
-      /// commits. Returns true if the transaction committed.
-      /// Locking: exactly the owning shard stripes — at most 3, never
-      /// all — sorted, deduped, and acquired in ascending index order by
-      /// ShardSetGuard (two-phase locking, the same total order as every
-      /// other multi-stripe acquisition).
+      /// {bank_acct}. Resolves every side, calls Fn(bool FoundA, int64_t &a_...,
+      /// ...) exactly once with the pre-transaction non-key values (zeros when
+      /// absent), then writes every side back — an absent side is inserted
+      /// with whatever values Fn leaves. Fn may return false to abort
+      /// (nothing is written); a void Fn always commits. Returns true if
+      /// the transaction committed.
+      /// Locking: exactly the owning shard stripes, ascending (two-phase locking).
       template <typename FnT> bool transact3_by_bank_acct(int64_t a_bank, int64_t a_acct, int64_t b_bank, int64_t b_acct, int64_t c_bank, int64_t c_acct, FnT &&Fn) {
       unsigned SA = shardOf(a_bank);
       unsigned SB = shardOf(b_bank);
       unsigned SC = shardOf(c_bank);
-      relc::ShardSetGuard Guard(Locks, {SA, SB, SC});
-      relc::EpochWriterFence Fence(Gates, Guard.stripes().data(), Guard.stripes().size());
-      int64_t a_balance = 0;
-      int64_t b_balance = 0;
-      int64_t c_balance = 0;
-      bool FoundA = Shards[SA]->lookup_by_bank_acct(a_bank, a_acct, a_balance);
-      bool FoundB = Shards[SB]->lookup_by_bank_acct(b_bank, b_acct, b_balance);
-      bool FoundC = Shards[SC]->lookup_by_bank_acct(c_bank, c_acct, c_balance);
-      bool Commit = true;
-      if constexpr (std::is_void_v<decltype(Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance))>)
-        Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance);
-      else
-        Commit = Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance);
-      if (!Commit)
-        return false;
-      tx_apply3_by_bank_acct(SA, a_bank, a_acct, a_balance);
-      tx_apply3_by_bank_acct(SB, b_bank, b_acct, b_balance);
-      tx_apply3_by_bank_acct(SC, c_bank, c_acct, c_balance);
-      return true;
+      return Core.writeSet({SA, SB, SC}, [&] {
+        int64_t a_balance = 0;
+        int64_t b_balance = 0;
+        int64_t c_balance = 0;
+        bool FoundA = Core.shard(SA).lookup_by_bank_acct(a_bank, a_acct, a_balance);
+        bool FoundB = Core.shard(SB).lookup_by_bank_acct(b_bank, b_acct, b_balance);
+        bool FoundC = Core.shard(SC).lookup_by_bank_acct(c_bank, c_acct, c_balance);
+        bool Commit = true;
+        if constexpr (std::is_void_v<decltype(Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance))>)
+          Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance);
+        else
+          Commit = Fn(FoundA, a_balance, FoundB, b_balance, FoundC, c_balance);
+        if (!Commit)
+          return false;
+        tx_apply3_by_bank_acct(SA, a_bank, a_acct, a_balance);
+        tx_apply3_by_bank_acct(SB, b_bank, b_acct, b_balance);
+        tx_apply3_by_bank_acct(SC, c_bank, c_acct, c_balance);
+        return true;
+      });
     }
 
     private:
-      /// Write-back half of transact3_by_bank_acct: upserts the key to the given
-      /// values on shard S, whose writer lock the caller holds.
+      /// Write-back half of transact3_by_bank_acct: upserts the key to the given values.
       void tx_apply3_by_bank_acct(unsigned S, int64_t q_bank, int64_t q_acct, int64_t c_balance) {
-      ledger &Sh = writable(S);
-      size_t Before = Sh.size();
-      Sh.upsert_by_bank_acct(q_bank, q_acct, [&](bool, int64_t &r_balance) {
+      Core.writable(S).upsert_by_bank_acct(q_bank, q_acct, [&](bool, int64_t &r_balance) {
         r_balance = c_balance;
       });
-      if (Sh.size() > Before)
-        Size.fetch_add(1, std::memory_order_relaxed);
-      else if (Sh.size() < Before)
-        Size.fetch_sub(1, std::memory_order_relaxed);
     }
 
     public:
 
-      /// Empties every shard (all writer locks). Shards pinned by a
-      /// snapshot handle are replaced fresh and retired, not reset
-      /// in place.
-      void clear() {
-      relc::AllShardsGuard Guard(Locks);
-      relc::EpochWriterFence Fence = fenceAll();
-      for (unsigned S = 0; S != NumShards; ++S) {
-        if (Pins[S]->load(std::memory_order_acquire) == 0) {
-          Shards[S]->clear();
-          continue;
-        }
-        retireShard(std::move(Shards[S]));
-        Shards[S] = std::make_shared<ledger>();
-        Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-      }
-      Size.store(0, std::memory_order_relaxed);
-    }
+      /// Empties every shard (all writer locks).
+      void clear() { Core.clear(); }
 
-      /// A consistent point-in-time view of the whole relation: the
-      /// shard set frozen by snapshot(). Holding a handle pins the
-      /// frozen shards — writers copy-on-write around them — and
-      /// reads against it need no locks at all.
-      class Snapshot {
-      public:
-        Snapshot() = default;
-        /// Copies share the pinned generation: the source already holds
-        /// every count >= 1, so relaxed increments suffice.
-        Snapshot(const Snapshot &O) : Count(O.Count) {
-        for (unsigned S = 0; S != NumShards; ++S) {
-          Shards[S] = O.Shards[S];
-          Pins[S] = O.Pins[S];
-          if (Pins[S])
-            Pins[S]->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-        Snapshot &operator=(const Snapshot &O) {
-        if (this != &O) {
-          Snapshot Tmp(O);
-          *this = std::move(Tmp);
-        }
-        return *this;
-      }
-        Snapshot(Snapshot &&O) noexcept = default;
-        Snapshot &operator=(Snapshot &&O) noexcept {
-        if (this != &O) {
-          unpinAll();
-          for (unsigned S = 0; S != NumShards; ++S) {
-            Shards[S] = std::move(O.Shards[S]);
-            Pins[S] = std::move(O.Pins[S]);
-          }
-          Count = O.Count;
-        }
-        return *this;
-      }
-        ~Snapshot() { unpinAll(); }
-        bool valid() const { return Shards[0] != nullptr; }
-        size_t size() const { return Count; }
-        bool empty() const { return Count == 0; }
-        const ledger &shard(unsigned I) const { return *Shards[I]; }
-        /// Visits every row (ascending column order), shard by shard.
-        template <typename FnT> void scanRows(FnT &&Emit) const {
-        for (const auto &S : Shards)
-          S->scanRows(Emit);
-      }
-
-      private:
-        friend class ledger_concurrent;
-        /// Release-decrements pair with writable()'s acquire probe: a
-        /// writer that reads zero happens-after every read this handle
-        /// made of the pinned state.
-        void unpinAll() {
-        for (const auto &P : Pins)
-          if (P)
-            P->fetch_sub(1, std::memory_order_release);
-      }
-        std::shared_ptr<const ledger> Shards[NumShards];
-        std::shared_ptr<std::atomic<size_t>> Pins[NumShards];
-        size_t Count = 0;
-    };
-
-      /// O(NumShards), no per-tuple work: under a brief all-stripe
-      /// SHARED acquisition the shard pointers are copied into the
-      /// handle. Writers landing afterwards clone pinned shards
-      /// before mutating, so the view never moves; the frozen state
-      /// is handed to the process epoch manager when the last handle
-      /// drops.
-      Snapshot snapshot() const {
-      relc::AllShardsGuard Guard(Locks, relc::AllShardsGuard::Shared);
-      Snapshot Snap;
-      for (unsigned S = 0; S != NumShards; ++S) {
-        Snap.Shards[S] = Shards[S];
-        Snap.Pins[S] = Pins[S];
-        // The only 0 -> 1 transition: writers are excluded by the
-        // shared stripe hold, so relaxed suffices here — the edge
-        // writers need comes from the handle's release decrement.
-        Snap.Pins[S]->fetch_add(1, std::memory_order_relaxed);
-      }
-      Snap.Count = Size.load(std::memory_order_relaxed);
-      return Snap;
-    }
+      /// A consistent point-in-time view of the whole relation in
+      /// O(NumShards): the handle pins the current shards, writers
+      /// copy-on-write around them, and reads need no locks.
+      Snapshot snapshot() const { return Core.snapshot(); }
 
     private:
-      /// Rows per chunk of *_parallel queries: result rows cross the
-      /// merge queue in batches so the queue mutex is taken once per
-      /// chunk, not once per row.
-      static constexpr size_t ScanChunkRows = 128;
-      /// Slots (chunks) in the bounded merge queue.
-      static constexpr size_t ScanQueueChunks = 8;
       static unsigned shardOf(int64_t V) {
       return static_cast<unsigned>(relc::hashMix64(static_cast<uint64_t>(V)) % NumShards);
     }
-      /// Runs Body over shard S: wait-free inside an epoch section when
-      /// the shard's writer gate is down, else under the shard's reader
-      /// lock (the fallback every new reader takes while a writer
-      /// fence is up). Body must not block or mutate the facade.
-      template <typename BodyT> void readShard(unsigned S, BodyT &&Body) const {
-      {
-        relc::EpochGuard Guard(&Gates[S]);
-        if (!Gates[S].writerActive()) {
-          Body();
-          return;
-        }
-      }
-      auto Lock = Locks.shared(S);
-      Body();
-    }
-      /// Raises every shard gate and drains the overlapping wait-free
-      /// read sections; the caller holds all writer locks.
-      relc::EpochWriterFence fenceAll() {
-      return relc::EpochWriterFence(Gates, AllShardIdx, NumShards);
-    }
-      static constexpr unsigned AllShardIdx[NumShards] = {0, 1, 2, 3, 4, 5, 6, 7};
-      /// The COW write-side hook: every mutation reaches its shard
-      /// through this. An unpinned shard (pin count 0) passes
-      /// through untouched — the steady-state fast path. A pinned
-      /// one is cloned row by row and the frozen original retired.
-      /// Sound because the caller holds the shard's writer stripe:
-      /// 0 -> 1 happens only under snapshot()'s all-stripe SHARED
-      /// hold (excluded here), handle copies increment counts their
-      /// source keeps >= 1, and drops release-decrement — so an
-      /// acquire load of zero happens-after every read a dropped
-      /// handle made, making in-place mutation race-free.
-      ledger &writable(unsigned S) {
-      std::shared_ptr<ledger> &Cur = Shards[S];
-      if (Pins[S]->load(std::memory_order_acquire) == 0)
-        return *Cur;
-      auto Fresh = std::make_shared<ledger>();
-      Cur->scanRows([&](int64_t v_bank, int64_t v_acct, int64_t v_balance) {
-        Fresh->insert(v_bank, v_acct, v_balance);
-      });
-      retireShard(std::move(Cur));
-      Cur = std::move(Fresh);
-      // A new pin generation: handles keep their detached counter;
-      // the live slot starts unpinned again.
-      Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-      return *Cur;
-    }
-      /// Hands a frozen shard to the process epoch manager: it is
-      /// freed once every in-flight epoch reader has moved on AND
-      /// the last snapshot handle pinning it drops.
-      static void retireShard(std::shared_ptr<ledger> Old) {
-      relc::EpochManager::global().retireObject(
-          new std::shared_ptr<ledger>(std::move(Old)));
-    }
-      relc::StripedLockSet Locks{NumShards};
-      relc::EpochGate Gates[NumShards];
-      std::shared_ptr<ledger> Shards[NumShards];
-      /// One pin counter per shard-state generation, swapped fresh
-      /// on every copy-on-write clone. Nonzero means a snapshot
-      /// handle still reads that generation.
-      std::shared_ptr<std::atomic<size_t>> Pins[NumShards];
-      std::atomic<size_t> Size{0};
+      relc::ShardedFacade<ledger> Core{NumShards};
   };
 
 } // namespace genconc

@@ -632,14 +632,17 @@ void checkParallelScanParity(const RelSpecRef &Spec, Decomposition D,
   const Catalog &Cat = Spec->catalog();
   ConcurrentOptions Opts;
   Opts.NumShards = 4;
-  Opts.ScanQueueCapacity = 32; // small: force worker/consumer handoff
   ConcurrentRelation Rel(std::move(D), Opts);
   Rng R(Seed);
 
-  // Unique first-column values keep every insert FD-safe (the first
-  // column is part of — or is — every system's key).
+  // Twice the rows the merge queue holds: shard workers must block on
+  // backpressure and hand off to the consumer. Unique first-column
+  // values keep every insert FD-safe (the first column is part of — or
+  // is — every system's key).
+  using Core = ShardedFacade<SynthesizedRelation>;
+  const int64_t NumRows = 2 * Core::ScanQueueChunks * Core::ScanChunkRows;
   ColumnSet All = Cat.allColumns();
-  for (int64_t I = 0; I != 300; ++I) {
+  for (int64_t I = 0; I != NumRows; ++I) {
     Tuple T;
     unsigned J = 0;
     for (ColumnId C : All) {
@@ -660,7 +663,7 @@ void checkParallelScanParity(const RelSpecRef &Spec, Decomposition D,
   });
   std::sort(Sequential.begin(), Sequential.end());
   std::sort(Parallel.begin(), Parallel.end());
-  EXPECT_EQ(Sequential.size(), 300u) << Spec->name();
+  EXPECT_EQ(Sequential.size(), size_t(NumRows)) << Spec->name();
   EXPECT_EQ(Sequential, Parallel) << Spec->name();
 
   // Early stop terminates cleanly (close() unblocks shard workers).
@@ -685,24 +688,6 @@ void checkParallelScanParity(const RelSpecRef &Spec, Decomposition D,
   std::sort(RoutedSeq.begin(), RoutedSeq.end());
   std::sort(RoutedPar.begin(), RoutedPar.end());
   EXPECT_EQ(RoutedSeq, RoutedPar) << Spec->name();
-}
-
-TEST_F(ConcurrentRelationTest, ParallelScanZeroCapacityClampsToOne) {
-  // Capacity 0 is clamped (not UB): the scan degenerates to a
-  // one-slot handoff per row and must still deliver everything.
-  ConcurrentOptions Opts;
-  Opts.NumShards = 4;
-  Opts.ScanQueueCapacity = 0;
-  ConcurrentRelation Rel(Decomp, Opts);
-  for (int64_t I = 0; I != 64; ++I)
-    ASSERT_TRUE(Rel.insert(proc(I % 8, I, I % 3, I)));
-  size_t Rows = 0;
-  Rel.scanFramesParallel(Tuple(), Cat.allColumns(),
-                         [&](const BindingFrame &) {
-                           ++Rows;
-                           return true;
-                         });
-  EXPECT_EQ(Rows, 64u);
 }
 
 TEST_F(ConcurrentRelationTest, ParallelScanParityScheduler) {

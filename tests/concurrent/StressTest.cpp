@@ -489,7 +489,7 @@ void runTransactStress(ConcurrentOptions Opts, unsigned NumWriters,
 }
 
 TEST(ConcurrentStressTest, SerializableTransactionsDefaultSharding) {
-  // Routed transactions: most batches lock 2-4 stripes (ShardSetGuard)
+  // Routed transactions: most batches lock 2-4 stripes (lockSet)
   // while rivals hold overlapping subsets.
   runTransactStress({8, std::nullopt}, /*NumWriters=*/4, /*NumReaders=*/2,
                     /*TxnsPerWriter=*/250);

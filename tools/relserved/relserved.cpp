@@ -32,10 +32,14 @@
 //     don't stall behind checkpoint serialization) checked against
 //     the real daemon.
 //
-//   relserved --verify --port N --accounts N
+//   relserved --verify --port N [--accounts N]
 //     Client mode: asserts the conservation invariant — exactly
 //     N accounts, total balance N * 1000 — and exits nonzero on any
 //     violation. Run after a SIGKILL + restart to prove recovery.
+//
+// Each mode parses its own flags strictly: an unknown flag, a missing
+// value or a malformed number prints the usage and exits 2 before any
+// socket is opened; --help prints it and exits 0.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,12 +48,15 @@
 #include "server/Server.h"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,26 +79,85 @@ Decomposition accountDecomp(const RelSpecRef &Spec) {
   return B.build();
 }
 
-int64_t intArg(int argc, char **argv, const char *Flag, int64_t Default) {
-  for (int I = 1; I + 1 < argc; ++I)
-    if (std::strcmp(argv[I], Flag) == 0)
-      return std::atoll(argv[I + 1]);
-  return Default;
-}
+constexpr const char *Usage =
+    "usage: relserved [--port N] [--port-file P] [--wal P] [--shards N]\n"
+    "                 [--max-group N] [--checkpoint-every N]\n"
+    "       relserved --workload --port N [--accounts N] [--transfers N]\n"
+    "                 [--threads N] [--seed-only] [--seed-batch N]\n"
+    "                 [--checkpoint-during]\n"
+    "       relserved --verify --port N [--accounts N]\n"
+    "       relserved --help\n";
 
-const char *strArg(int argc, char **argv, const char *Flag) {
-  for (int I = 1; I + 1 < argc; ++I)
-    if (std::strcmp(argv[I], Flag) == 0)
-      return argv[I + 1];
-  return nullptr;
-}
+/// One flag a mode accepts: a switch, a string, or an integer in
+/// [Min, Max].
+struct FlagSpec {
+  const char *Name;
+  enum Kind { Switch, String, Int } K;
+  int64_t Min = 0, Max = 0;
+};
 
-bool boolArg(int argc, char **argv, const char *Flag) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], Flag) == 0)
-      return true;
-  return false;
-}
+/// A mode's command line, parsed strictly against its flag table: an
+/// unknown flag, a repeated one, a missing value or a value that is
+/// not a decimal integer in range is an error.
+class Args {
+public:
+  bool parse(int argc, char **argv, const std::vector<FlagSpec> &Flags,
+             std::string &Err) {
+    for (int I = 1; I < argc; ++I) {
+      const FlagSpec *F = nullptr;
+      for (const FlagSpec &Cand : Flags)
+        if (std::strcmp(argv[I], Cand.Name) == 0)
+          F = &Cand;
+      if (!F) {
+        Err = std::string("unknown argument '") + argv[I] + "'";
+        return false;
+      }
+      if (Values.count(F->Name)) {
+        Err = std::string(F->Name) + " given twice";
+        return false;
+      }
+      if (F->K == FlagSpec::Switch) {
+        Values[F->Name] = "";
+        continue;
+      }
+      if (I + 1 == argc) {
+        Err = std::string(F->Name) + " needs a value";
+        return false;
+      }
+      const char *V = argv[++I];
+      if (F->K == FlagSpec::Int) {
+        char *End = nullptr;
+        errno = 0;
+        long long N = std::strtoll(V, &End, 10);
+        if (!*V || *End || errno == ERANGE || N < F->Min || N > F->Max) {
+          Err = std::string(F->Name) + " needs an integer in [" +
+                std::to_string(F->Min) + ", " + std::to_string(F->Max) +
+                "], got '" + V + "'";
+          return false;
+        }
+      }
+      Values[F->Name] = V;
+    }
+    return true;
+  }
+
+  bool has(const char *Flag) const { return Values.count(Flag) != 0; }
+  const char *str(const char *Flag) const {
+    auto It = Values.find(Flag);
+    return It == Values.end() ? nullptr : It->second.c_str();
+  }
+  int64_t num(const char *Flag, int64_t Default) const {
+    const char *V = str(Flag);
+    return V ? std::strtoll(V, nullptr, 10) : Default;
+  }
+
+private:
+  std::map<std::string, std::string> Values;
+};
+
+constexpr int64_t MaxCount = int64_t(1) << 40;
+const FlagSpec PortFlag{"--port", FlagSpec::Int, 0, 65535};
+const FlagSpec AccountsFlag{"--accounts", FlagSpec::Int, 1, MaxCount};
 
 volatile std::sig_atomic_t StopRequested = 0;
 void onSignal(int) { StopRequested = 1; }
@@ -100,16 +166,24 @@ void onSignal(int) { StopRequested = 1; }
 // Serve mode
 //===----------------------------------------------------------------------===//
 
-int serveMain(int argc, char **argv) {
+const std::vector<FlagSpec> ServeFlags = {
+    PortFlag,
+    {"--port-file", FlagSpec::String},
+    {"--wal", FlagSpec::String},
+    // A fan-out fence covers at most EpochWriterFence::MaxGates shards.
+    {"--shards", FlagSpec::Int, 1, int64_t(EpochWriterFence::MaxGates)},
+    {"--max-group", FlagSpec::Int, 1, MaxCount},
+    {"--checkpoint-every", FlagSpec::Int, 0, MaxCount}};
+
+int serveMain(const Args &A) {
   ServerOptions Opts;
-  Opts.Port = static_cast<uint16_t>(intArg(argc, argv, "--port", 0));
-  if (const char *Wal = strArg(argc, argv, "--wal"))
+  Opts.Port = static_cast<uint16_t>(A.num("--port", 0));
+  if (const char *Wal = A.str("--wal"))
     Opts.WalPath = Wal;
-  Opts.Concurrent.NumShards =
-      static_cast<unsigned>(intArg(argc, argv, "--shards", 8));
-  Opts.MaxGroup = static_cast<size_t>(intArg(argc, argv, "--max-group", 64));
+  Opts.Concurrent.NumShards = static_cast<unsigned>(A.num("--shards", 8));
+  Opts.MaxGroup = static_cast<size_t>(A.num("--max-group", 64));
   Opts.CheckpointEvery =
-      static_cast<uint64_t>(intArg(argc, argv, "--checkpoint-every", 0));
+      static_cast<uint64_t>(A.num("--checkpoint-every", 0));
 
   RelSpecRef Spec = accountSpec();
   RelServer Server(accountDecomp(Spec), Opts);
@@ -126,7 +200,7 @@ int serveMain(int argc, char **argv) {
                  static_cast<unsigned long long>(Server.recoveredTxns()));
   std::fprintf(stderr, "\n");
 
-  if (const char *PortFile = strArg(argc, argv, "--port-file")) {
+  if (const char *PortFile = A.str("--port-file")) {
     // Write-then-rename so a polling reader never sees a half-written
     // port number.
     std::string Tmp = std::string(PortFile) + ".tmp";
@@ -152,16 +226,24 @@ Tuple accountKey(const Catalog &Cat, int64_t A) {
   return TupleBuilder(Cat).set("owner", A / 4).set("acct", A % 4).build();
 }
 
-int workloadMain(int argc, char **argv) {
-  uint16_t Port = static_cast<uint16_t>(intArg(argc, argv, "--port", 0));
-  int64_t Accounts = intArg(argc, argv, "--accounts", 64);
-  int64_t Transfers = intArg(argc, argv, "--transfers", 5000);
-  int64_t Threads = intArg(argc, argv, "--threads", 4);
-  bool SeedOnly = boolArg(argc, argv, "--seed-only");
-  int64_t SeedBatch = intArg(argc, argv, "--seed-batch", 1);
-  bool CkptDuring = boolArg(argc, argv, "--checkpoint-during");
-  if (SeedBatch < 1)
-    SeedBatch = 1;
+const std::vector<FlagSpec> WorkloadFlags = {
+    {"--workload", FlagSpec::Switch},
+    PortFlag,
+    AccountsFlag,
+    {"--transfers", FlagSpec::Int, 0, MaxCount},
+    {"--threads", FlagSpec::Int, 1, 1024},
+    {"--seed-only", FlagSpec::Switch},
+    {"--seed-batch", FlagSpec::Int, 1, MaxCount},
+    {"--checkpoint-during", FlagSpec::Switch}};
+
+int workloadMain(const Args &A) {
+  uint16_t Port = static_cast<uint16_t>(A.num("--port", 0));
+  int64_t Accounts = A.num("--accounts", 64);
+  int64_t Transfers = A.num("--transfers", 5000);
+  int64_t Threads = A.num("--threads", 4);
+  bool SeedOnly = A.has("--seed-only");
+  int64_t SeedBatch = A.num("--seed-batch", 1);
+  bool CkptDuring = A.has("--checkpoint-during");
 
   RelSpecRef Spec = accountSpec();
   const Catalog &Cat = Spec->catalog();
@@ -286,9 +368,12 @@ int workloadMain(int argc, char **argv) {
   return 0;
 }
 
-int verifyMain(int argc, char **argv) {
-  uint16_t Port = static_cast<uint16_t>(intArg(argc, argv, "--port", 0));
-  int64_t Accounts = intArg(argc, argv, "--accounts", 64);
+const std::vector<FlagSpec> VerifyFlags = {
+    {"--verify", FlagSpec::Switch}, PortFlag, AccountsFlag};
+
+int verifyMain(const Args &A) {
+  uint16_t Port = static_cast<uint16_t>(A.num("--port", 0));
+  int64_t Accounts = A.num("--accounts", 64);
 
   RelSpecRef Spec = accountSpec();
   const Catalog &Cat = Spec->catalog();
@@ -330,9 +415,31 @@ int verifyMain(int argc, char **argv) {
 } // namespace
 
 int main(int argc, char **argv) {
-  if (boolArg(argc, argv, "--workload"))
-    return workloadMain(argc, argv);
-  if (boolArg(argc, argv, "--verify"))
-    return verifyMain(argc, argv);
-  return serveMain(argc, argv);
+  // The mode switch picks the flag table; everything is parsed before
+  // any socket is opened, and a bad command line exits 2.
+  bool Workload = false, Verify = false;
+  for (int I = 1; I < argc; ++I) {
+    if (std::strcmp(argv[I], "--help") == 0) {
+      std::fputs(Usage, stdout);
+      return 0;
+    }
+    Workload |= std::strcmp(argv[I], "--workload") == 0;
+    Verify |= std::strcmp(argv[I], "--verify") == 0;
+  }
+  Args A;
+  std::string Err;
+  if (Workload && Verify)
+    Err = "--workload and --verify are separate modes";
+  else
+    A.parse(argc, argv,
+            Workload ? WorkloadFlags : Verify ? VerifyFlags : ServeFlags, Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "relserved: %s\n%s", Err.c_str(), Usage);
+    return 2;
+  }
+  if (Workload)
+    return workloadMain(A);
+  if (Verify)
+    return verifyMain(A);
+  return serveMain(A);
 }
