@@ -20,8 +20,9 @@
 // and speedup over the single-thread run — the number the sharding
 // exists for. --json <path> writes the machine-readable report (CI
 // uploads it); --quick shrinks the loops; --threads caps the thread
-// sweep; --shards sets the shard count (default 16); --rev stamps the
-// report with a revision id (falls back to $GITHUB_SHA).
+// sweep; --shards sets the shard count (default 16, at most MaxShards
+// = 64); --rev stamps the report with a revision id (falls back to
+// $GITHUB_SHA).
 //
 // Run on a single-core machine this degenerates to measuring lock
 // overhead (speedup ≈ 1x or below); the scaling claims only mean
@@ -486,6 +487,10 @@ int main(int argc, char **argv) {
   int ThreadsVal = ThreadsArg ? std::atoi(ThreadsArg) : 8;
   if (ShardsVal <= 0 || ThreadsVal <= 0) {
     std::fprintf(stderr, "error: --shards/--threads must be positive\n");
+    return 1;
+  }
+  if (ShardsVal > int(MaxShards)) {
+    std::fprintf(stderr, "error: --shards must be at most %u\n", MaxShards);
     return 1;
   }
   unsigned Shards = unsigned(ShardsVal);

@@ -13,8 +13,9 @@
 // Build & run:  ./build/examples/ipcap_daemon [num-packets]
 //               ./build/examples/ipcap_daemon [num-packets] --threads 4
 //
-// With --threads N the flow table is one sharded ConcurrentRelation
-// and the packet stream is split round-robin across the workers —
+// With --threads N (at most 16: the flow table gets 4N shards, capped
+// by MaxShards) the flow table is one sharded ConcurrentRelation and
+// the packet stream is split round-robin across the workers —
 // packet i goes to thread i mod N, regardless of which flow it
 // belongs to. Per-packet accounting is one atomic upsert: the key
 // (local, remote) binds the shard column, so the read-modify-write
@@ -148,8 +149,10 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       int N = std::atoi(argv[++I]);
-      if (N <= 0) {
-        std::fprintf(stderr, "error: --threads must be positive\n");
+      // runThreaded shards the flow table four ways per thread.
+      if (N <= 0 || N > int(MaxShards / 4)) {
+        std::fprintf(stderr, "error: --threads must be in [1, %u]\n",
+                     MaxShards / 4);
         return 2;
       }
       NumThreads = static_cast<unsigned>(N);

@@ -14,6 +14,7 @@
 
 #include "codegen/SpecFile.h"
 
+#include "concurrent/Epoch.h"
 #include "decomp/Parser.h"
 
 #include <algorithm>
@@ -346,16 +347,16 @@ private:
     unsigned Shards = 0;
     while (Len != T.size() &&
            std::isdigit(static_cast<unsigned char>(T[Len]))) {
-      // Saturate: only the [1, 4096] range check below matters.
+      // Saturate: only the [1, MaxShards] range check below matters.
       Shards = std::min(Shards * 10 + static_cast<unsigned>(T[Len] - '0'),
                         100000u);
       ++Len;
     }
     if (Len == 0)
       return false;
-    if (Shards == 0 || Shards > 4096) {
-      Err = "shard count must be in [1, 4096] (the facade holds a "
-            "sub-instance and a padded lock per shard)";
+    if (Shards == 0 || Shards > MaxShards) {
+      Err = "shard count must be in [1, " + std::to_string(MaxShards) +
+            "] (a fan-out write fences one epoch gate per shard)";
       return false;
     }
     T = trim(T.substr(Len));

@@ -84,54 +84,22 @@ size_t ConcurrentRelation::remove(const Tuple &Pattern) {
 size_t ConcurrentRelation::update(const Tuple &Pattern, const Tuple &Changes) {
   assert(!Pattern.columns().intersects(Changes.columns()) &&
          "update changes must be disjoint from the pattern");
-  if (Changes.has(Router.shardColumn()))
-    return updateRehoming(Pattern, Changes);
-  auto Holds = [&](const SynthesizedRelation &S) {
-    return S.contains(Pattern);
-  };
-  auto Update = [&](SynthesizedRelation &W) {
-    return W.update(Pattern, Changes);
-  };
   if (Router.routes(Pattern.columns()))
-    return Core.writeOneIf(Router.shardOf(Pattern), Holds, Update);
+    // Disjoint from the pattern, the changes cannot rewrite the shard
+    // column: the tuple stays in the pattern's shard.
+    return Core.writeOneIf(
+        Router.shardOf(Pattern),
+        [&](const SynthesizedRelation &S) { return S.contains(Pattern); },
+        [&](SynthesizedRelation &W) { return W.update(Pattern, Changes); });
   // The pattern is a key, so at most one shard holds a match — but
-  // without the shard column which one is unknown: take every writer
-  // lock (ascending, per the lock order) and find it.
+  // without the shard column which one is unknown, and the changes may
+  // rewrite the shard column: take every writer lock (ascending, per
+  // the lock order), find the match, then update or migrate it.
   return Core.writeAll([&]() -> size_t {
-    unsigned S = Core.findShard(Holds);
-    return S == numShards() ? 0 : Update(Core.writable(S));
-  });
-}
-
-size_t ConcurrentRelation::updateRehoming(const Tuple &Pattern,
-                                          const Tuple &Changes) {
-  // The changes rewrite the shard column (so, by disjointness, the
-  // pattern does not bind it) and the tuple may change owners: locate
-  // the matching tuple, then either update in place (same owner) or
-  // migrate it (remove + reinsert), all under every writer lock. An
-  // FD-violating reinsert that no-ops is covered by the helper's size
-  // delta.
-  return Core.writeAll([&]() -> size_t {
-    ColumnSet All = catalog().allColumns();
-    Tuple Old;
-    unsigned I = Core.findShard([&](const SynthesizedRelation &S) {
-      bool Found = false;
-      S.scanFrames(Pattern, All, [&](const BindingFrame &F) {
-        Old = F.toTuple(All);
-        Found = true;
-        return false; // the pattern is a key: at most one match
-      });
-      return Found;
-    });
-    if (I == numShards())
+    Match M = locate(Pattern);
+    if (!M.Found)
       return 0;
-    Tuple Merged = Old.merge(Changes);
-    unsigned Target = Router.shardOf(Merged);
-    if (Target == I)
-      return Core.writable(I).update(Pattern, Changes);
-    [[maybe_unused]] size_t Removed = Core.writable(I).remove(Old);
-    assert(Removed == 1 && "matched tuple vanished during migration");
-    Core.writable(Target).insert(Merged);
+    rehome(M, Pattern, Changes, nullptr);
     return 1;
   });
 }
@@ -151,23 +119,17 @@ bool ConcurrentRelation::upsert(
       return W.upsert(Key, Fn);
     });
   // The key misses the shard column: the owner is unknown and the new
-  // values may rewrite the shard column, migrating the tuple — the
-  // same all-writer-locks discipline as updateRehoming.
+  // values may rewrite the shard column — the same locate-then-rehome
+  // shape as a fan-out update, with an insert for an absent key.
   return Core.writeAll([&] {
-    ColumnSet All = catalog().allColumns();
-    ColumnSet Rest = All.minus(Key.columns());
-    Tuple Old, Values;
-    unsigned I = Core.findShard([&](const SynthesizedRelation &S) {
-      bool Found = false;
-      S.scanFrames(Key, Rest, [&](const BindingFrame &F) {
-        Found = true;
-        Old = F.toTuple(All);
-        Fn(&F, Values);
-        return false; // the pattern is a key: at most one match
-      });
-      return Found;
+    [[maybe_unused]] ColumnSet Rest = catalog().allColumns().minus(
+        Key.columns());
+    Tuple Values;
+    Match M = locate(Key, [&](const BindingFrame &F) {
+      Fn(&F, Values);
+      return true;
     });
-    if (I == numShards()) {
+    if (!M.Found) {
       Fn(nullptr, Values);
       assert(Values.columns() == Rest &&
              "upsert must bind every non-key column when inserting");
@@ -177,19 +139,58 @@ bool ConcurrentRelation::upsert(
     }
     assert(Values.columns().subsetOf(Rest) &&
            "upsert values must not rebind key columns");
-    if (Values.empty())
-      return false;
-    Tuple Merged = Old.merge(Values);
-    unsigned Target = Router.shardOf(Merged);
-    if (Target == I) {
-      Core.writable(I).update(Key, Values);
-      return false;
-    }
-    [[maybe_unused]] size_t Removed = Core.writable(I).remove(Old);
-    assert(Removed == 1 && "matched tuple vanished during upsert");
-    Core.writable(Target).insert(Merged);
+    rehome(M, Key, Values, nullptr);
     return false;
   });
+}
+
+ConcurrentRelation::Match
+ConcurrentRelation::locate(const Tuple &Key,
+                           function_ref<bool(const BindingFrame &)> OnMatch)
+    const {
+  ColumnSet All = catalog().allColumns();
+  assert(spec()->fds().isKey(Key.columns(), All) &&
+         "a fan-out update or upsert pattern must be a key");
+  Match M;
+  M.Owner = Core.findShard([&](const SynthesizedRelation &S) {
+    S.scanFrames(Key, All, [&](const BindingFrame &F) {
+      M.Found = true;
+      M.Old = F.toTuple(All);
+      M.Vetoed = OnMatch && !OnMatch(F);
+      return false; // the pattern is a key: at most one match
+    });
+    return M.Found;
+  });
+  return M;
+}
+
+void ConcurrentRelation::rehome(const Match &M, const Tuple &Key,
+                                const Tuple &Values, UndoLog *Undo) {
+  Tuple New = M.Old.merge(Values);
+  if (New == M.Old)
+    return; // nothing changes: leave a pinned owner uncloned
+  unsigned Target = Router.shardOf(New);
+  if (Target == M.Owner) {
+    [[maybe_unused]] size_t N = Core.writable(M.Owner).update(Key, Values);
+    assert(N == 1 && "matched tuple vanished during update");
+    if (Undo)
+      Undo->emplace_back(M.Owner,
+                         TxOp::update(Key, M.Old.project(Values.columns())));
+    return;
+  }
+  // Migration: remove, then reinsert in the new owner. Applied in
+  // reverse, the two inverse ops restore the old home.
+  [[maybe_unused]] size_t Removed = Core.writable(M.Owner).remove(M.Old);
+  assert(Removed == 1 && "matched tuple vanished during migration");
+  [[maybe_unused]] bool Ins = Core.writable(Target).insert(New);
+  // transact checked the FDs first, so its reinsert must land; a
+  // standalone update's FD-violating reinsert may no-op, which the
+  // write helper's size delta absorbs.
+  assert((Ins || !Undo) && "conflict-free migration insert must change");
+  if (Undo) {
+    Undo->emplace_back(M.Owner, TxOp::insert(M.Old));
+    Undo->emplace_back(Target, TxOp::remove(std::move(New)));
+  }
 }
 
 std::optional<unsigned> ConcurrentRelation::txRoutedShard(const TxOp &Op) const {
@@ -245,8 +246,8 @@ TxResult ConcurrentRelation::transact(const std::vector<TxOp> &Ops) {
   TxLockPlan Plan = transactLockPlan(Ops);
   // All-stripe and stripe-set acquisitions share the ascending order,
   // so mixed transactions cannot deadlock.
-  return withPlanLocks(Plan,
-                       [&] { return transactLocked(Ops, Plan.Stripes); });
+  return withTxLocks(Plan,
+                     [&] { return transactPreLocked(Ops, Plan.Stripes); });
 }
 
 TxResult ConcurrentRelation::transact(function_ref<void(TxBatch &)> Build) {
@@ -255,93 +256,9 @@ TxResult ConcurrentRelation::transact(function_ref<void(TxBatch &)> Build) {
   return transact(Tx.ops());
 }
 
-TxResult ConcurrentRelation::transactKeys(
-    const std::vector<Tuple> &Keys,
-    function_ref<bool(std::vector<TxKeyView> &)> Fn) {
-  assert(!Keys.empty() && "transactKeys needs at least one key");
-  ColumnSet KeyCols = Keys.front().columns();
-  assert(spec()->fds().isKey(KeyCols, spec()->columns()) &&
-         "transactKeys patterns must form a key");
-  for ([[maybe_unused]] const Tuple &K : Keys)
-    assert(K.columns() == KeyCols &&
-           "every transactKeys key must bind the same columns");
-  ColumnSet Rest = catalog().allColumns().minus(KeyCols);
-
-  // Lock footprint from upsert-shaped pseudo-ops: each key's eventual
-  // write-back (update in place, or insert of key+values) routes to
-  // the key's shard exactly when an upsert of that key would, so the
-  // upsert plan covers every op transactLocked will see below.
-  std::vector<TxOp> Pseudo;
-  Pseudo.reserve(Keys.size());
-  for (const Tuple &K : Keys)
-    Pseudo.push_back(TxOp::upsert(K, [](const BindingFrame *, Tuple &) {}));
-  TxLockPlan Plan = transactLockPlan(Pseudo);
-
-  return withPlanLocks(Plan, [&]() -> TxResult {
-    // Phase 1 (read, all stripes held): resolve every key's current
-    // values. Routed keys probe their owning shard; otherwise every
-    // stripe is held and all shards are searched.
-    std::vector<TxKeyView> Views(Keys.size());
-    for (size_t I = 0; I != Keys.size(); ++I) {
-      TxKeyView &V = Views[I];
-      auto Probe = [&](const SynthesizedRelation &S) {
-        S.scanFrames(Keys[I], Rest, [&](const BindingFrame &F) {
-          V.Found = true;
-          V.Values = F.toTuple(Rest);
-          return false; // the pattern is a key: at most one match
-        });
-        return V.Found;
-      };
-      if (Router.routes(KeyCols))
-        Probe(Core.shard(Router.shardOf(Keys[I])));
-      else
-        Core.findShard(Probe);
-    }
-
-    // Phase 2: one callback over all views — the N-key read-modify-
-    // write the generated transactN_by_<key> methods compile.
-    std::vector<Tuple> Before;
-    Before.reserve(Views.size());
-    for (const TxKeyView &V : Views)
-      Before.push_back(V.Values);
-    if (!Fn(Views))
-      return TxResult{false, Keys.size(), 0};
-
-    // Phase 3 (write-back): one op per key that changed. Absent keys
-    // must come back fully bound (conditional abort otherwise, as for
-    // TxOp::upsert), found keys write a delta update.
-    std::vector<TxOp> Ops;
-    std::vector<size_t> OpKey; // op index -> key index, for FailedOp
-    for (size_t I = 0; I != Keys.size(); ++I) {
-      TxKeyView &V = Views[I];
-      if (!V.Found) {
-        if (V.Values.columns() != Rest)
-          return TxResult{false, I, 0}; // under-bound insert: abort
-        Ops.push_back(TxOp::insert(Keys[I].merge(V.Values)));
-        OpKey.push_back(I);
-        continue;
-      }
-      assert(V.Values.columns().subsetOf(Rest) &&
-             "transactKeys values must not rebind key columns");
-      if (V.Values == Before[I])
-        continue; // untouched: no write for this key
-      Ops.push_back(TxOp::update(Keys[I], V.Values));
-      OpKey.push_back(I);
-    }
-    if (Ops.empty())
-      // Read-only batch: nothing to apply, but still a committed unit;
-      // draw its ticket while the stripes are held.
-      return TxResult{true, 0,
-                      TxTickets.fetch_add(1, std::memory_order_relaxed)};
-    TxResult R = transactLocked(Ops, Plan.Stripes);
-    if (!R.Committed)
-      R.FailedOp = OpKey[R.FailedOp];
-    return R;
-  });
-}
-
-TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
-                                            const std::vector<unsigned> &Scope) {
+TxResult
+ConcurrentRelation::transactPreLocked(const std::vector<TxOp> &Ops,
+                                      const std::vector<unsigned> &Scope) {
   ColumnSet All = catalog().allColumns();
   auto ScopeSize = [&] {
     size_t N = 0;
@@ -353,7 +270,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
 
   // One undo log across shards: (shard, inverse op), applied in
   // reverse on abort.
-  std::vector<std::pair<unsigned, TxOp>> Undo;
+  UndoLog Undo;
   std::vector<TxOp> Tmp;
 
   // When a durability hook is armed, every applied op also derives its
@@ -449,86 +366,46 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
         Undo.emplace_back(S, TxOp::remove(Op.A));
       break;
     }
-    case TxOp::Remove: {
-      if (Router.routes(Op.A.columns())) {
-        ApplyOn(Router.shardOf(Op.A), Op);
-        break;
-      }
+    case TxOp::Remove:
+      // A routable pattern was routed above: this one may match in
+      // every shard.
       for (unsigned S = 0; S != numShards(); ++S)
         if (Core.shard(S).contains(Op.A)) // don't COW-clone a missed shard
           ApplyOn(S, Op);
       break;
-    }
-    case TxOp::Update: {
-      assert(!Op.A.columns().intersects(Op.B.columns()) &&
-             "update changes must be disjoint from the pattern");
-      // The pattern is a key: at most one shard holds the match.
-      Tuple Old;
-      unsigned Owner = ~0u;
-      for (unsigned S = 0; S != numShards() && Owner == ~0u; ++S)
-        Core.shard(S).scanFrames(Op.A, All, [&](const BindingFrame &F) {
-          Old = F.toTuple(All);
-          Owner = S;
-          return false;
-        });
-      if (Owner == ~0u)
-        break; // no match: a committed no-op
-      Tuple Merged = Old.merge(Op.B);
-      if (Merged == Old)
-        break;
-      if (Conflicts(Merged, &Old)) {
-        Failed = I;
-        break;
-      }
-      unsigned Target = Router.shardOf(Merged);
-      if (Target == Owner) {
-        // Validated above; update in place without applyTxOp's
-        // redundant re-scan and re-probe.
-        [[maybe_unused]] size_t N = Core.writable(Owner).update(Op.A, Op.B);
-        assert(N == 1 && "matched tuple vanished during update");
-        Undo.emplace_back(Owner,
-                          TxOp::update(Op.A, Old.project(Op.B.columns())));
-        break;
-      }
-      // Migration inside the batch: remove + reinsert, two inverse
-      // ops (reverse application restores the old home first... last).
-      [[maybe_unused]] size_t Removed = Core.writable(Owner).remove(Old);
-      assert(Removed == 1 && "matched tuple vanished during migration");
-      Undo.emplace_back(Owner, TxOp::insert(Old));
-      [[maybe_unused]] bool Ins = Core.writable(Target).insert(Merged);
-      assert(Ins && "conflict-free migration insert must change");
-      Undo.emplace_back(Target, TxOp::remove(std::move(Merged)));
-      break;
-    }
+    case TxOp::Update:
     case TxOp::Upsert: {
-      assert((Op.Fn || Op.FnChecked) && "upsert op needs a callback");
+      // The key pattern matches at most one tuple, in an unknown shard,
+      // and the new values may rewrite the shard column. An update's
+      // values are its changes; an upsert's come from its callback,
+      // which runs exactly once: on the live frame of the match, or on
+      // nullptr after every shard missed.
+      const bool IsUpsert = Op.Op == TxOp::Upsert;
       ColumnSet Rest = All.minus(Op.A.columns());
-      Tuple Old, Values;
-      unsigned Owner = ~0u;
-      bool Vetoed = false;
-      // The callback runs exactly once: inside the owner's scan (the
-      // frame is live there), or on nullptr after every shard missed.
-      for (unsigned S = 0; S != numShards() && Owner == ~0u; ++S)
-        Core.shard(S).scanFrames(Op.A, Rest, [&](const BindingFrame &F) {
-          Owner = S;
-          Old = F.toTuple(All);
-          Vetoed = !Op.runUpsertFn(&F, Values);
-          return false;
-        });
-      if (Vetoed) {
+      assert((IsUpsert || !Op.A.columns().intersects(Op.B.columns())) &&
+             "update changes must be disjoint from the pattern");
+      Tuple FnValues;
+      const Tuple &Values = IsUpsert ? FnValues : Op.B;
+      Match M = IsUpsert ? locate(Op.A,
+                                  [&](const BindingFrame &F) {
+                                    return Op.runUpsertFn(&F, FnValues);
+                                  })
+                         : locate(Op.A);
+      if (M.Vetoed) {
         Failed = I; // checked callback refused: a defined abort
         break;
       }
-      if (Owner == ~0u) {
-        if (!Op.runUpsertFn(nullptr, Values)) {
+      if (!M.Found) {
+        if (!IsUpsert)
+          break; // no match: a committed no-op
+        // A veto, or an absent key left under-bound (the conditional
+        // abort of TxOp::Fn), aborts the batch.
+        if (!Op.runUpsertFn(nullptr, FnValues) ||
+            FnValues.columns() != Rest) {
           Failed = I;
           break;
         }
-        if (Values.columns() != Rest) {
-          Failed = I; // conditional abort: see TxOp::Fn
-          break;
-        }
-        Tuple Full = Op.A.merge(Values);
+        Tuple Full = Op.A.merge(FnValues);
         if (Conflicts(Full, nullptr)) {
           Failed = I;
           break;
@@ -540,31 +417,17 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
         break;
       }
       assert(Values.columns().subsetOf(Rest) &&
-             "upsert values must not rebind key columns");
-      if (Values.empty())
+             "new values must not rebind key columns");
+      Tuple Merged = M.Old.merge(Values);
+      if (Merged == M.Old)
         break;
-      Tuple Merged = Old.merge(Values);
-      if (Merged == Old)
-        break;
-      if (Conflicts(Merged, &Old)) {
+      if (Conflicts(Merged, &M.Old)) {
         Failed = I;
         break;
       }
-      unsigned Target = Router.shardOf(Merged);
-      if (Target == Owner) {
-        [[maybe_unused]] size_t N = Core.writable(Owner).update(Op.A, Values);
-        assert(N == 1 && "matched tuple vanished during upsert");
-        Undo.emplace_back(Owner,
-                          TxOp::update(Op.A,
-                                       Old.project(Values.columns())));
-        break;
-      }
-      [[maybe_unused]] size_t Removed = Core.writable(Owner).remove(Old);
-      assert(Removed == 1 && "matched tuple vanished during migration");
-      Undo.emplace_back(Owner, TxOp::insert(Old));
-      [[maybe_unused]] bool Ins = Core.writable(Target).insert(Merged);
-      assert(Ins && "conflict-free migration insert must change");
-      Undo.emplace_back(Target, TxOp::remove(std::move(Merged)));
+      // Validated above: mutate without applyTxOp's redundant re-scan
+      // and re-probe.
+      rehome(M, Op.A, Values, &Undo);
       break;
     }
     }
@@ -595,11 +458,6 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
     Ticket = TxTickets.fetch_add(1, std::memory_order_relaxed);
   }
   return TxResult{true, 0, Ticket};
-}
-
-void ConcurrentRelation::withTxLocks(const TxLockPlan &Plan,
-                                     function_ref<void()> Body) {
-  withPlanLocks(Plan, Body);
 }
 
 std::vector<Tuple> ConcurrentRelation::query(const Tuple &Pattern,

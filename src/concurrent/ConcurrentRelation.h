@@ -132,35 +132,6 @@ public:
   /// As above, with the batch assembled by \p Build (see TxBatch).
   TxResult transact(function_ref<void(TxBatch &)> Build);
 
-  /// One key's slice of a transactKeys batch: what the callback reads
-  /// and writes.
-  struct TxKeyView {
-    /// In: did a tuple matching the key exist?
-    bool Found = false;
-    /// In: the existing tuple's non-key values (empty when !Found).
-    /// Out: the values to write back. Leaving a Found view's values
-    /// unchanged writes nothing for that key; an absent key must come
-    /// back with every non-key column bound, or the batch aborts (the
-    /// same conditional-abort convention as TxOp::upsert).
-    Tuple Values;
-  };
-
-  /// The interpreted mirror of the generated facades' `transaction
-  /// cols x N` form (relc `transactN_by_<key>` methods): an atomic
-  /// read-modify-write over \p Keys, all bound over the same key
-  /// columns (which must form a key of the relation). Under the same
-  /// two-phase locking as transact — exactly the owning stripes,
-  /// ascending, when the key columns route; every stripe otherwise —
-  /// the current values of every key are read, \p Fn mutates the views
-  /// (returning false aborts with nothing applied), and the write-back
-  /// runs as one batch: updates for found keys whose values changed,
-  /// inserts for absent keys. FD conflicts roll back all-or-nothing
-  /// exactly as transact. On a callback abort the returned FailedOp is
-  /// Keys.size(); on an FD abort it is the index of the offending
-  /// write-back op.
-  TxResult transactKeys(const std::vector<Tuple> &Keys,
-                        function_ref<bool(std::vector<TxKeyView> &)> Fn);
-
   /// The stripes transact(\p Ops) would lock: either the exact
   /// ascending routed set, or every stripe (AllShards). Exposed so
   /// tests and capacity planning can see the lock footprint without
@@ -204,23 +175,29 @@ public:
     TxTickets.store(Next, std::memory_order_relaxed);
   }
 
-  /// Group-commit support: acquires exactly the stripes of \p Plan
-  /// (exclusive, ascending, with the epoch writer fence raised on the
-  /// matching gates), runs \p Body, then releases. \p Body typically
-  /// applies several compatible transactions via transactPreLocked —
-  /// one stripe acquisition amortized over the group. size() moves by the
-  /// group's net effect once \p Body returns, before the release.
-  void withTxLocks(const TxLockPlan &Plan, function_ref<void()> Body);
+  /// Group-commit support: runs \p Body() holding exactly the stripes
+  /// of \p Plan (exclusive, ascending, with the epoch writer fence
+  /// raised on the matching gates), then releases them, and returns
+  /// what Body returns. \p Body typically applies several compatible
+  /// transactions via transactPreLocked — one stripe acquisition
+  /// amortized over the group; transact itself is one such call. size()
+  /// moves by the group's net effect once \p Body returns, before the
+  /// release.
+  template <typename BodyT>
+  decltype(auto) withTxLocks(const TxLockPlan &Plan, BodyT &&Body) {
+    if (Plan.AllShards)
+      return Core.writeAll(Body);
+    return Core.writeStripes(Plan.Stripes.data(), Plan.Stripes.size(), Body);
+  }
 
   /// Applies \p Ops as one transaction with locking delegated to the
   /// caller: every stripe in \p Scope — which must cover
-  /// transactLockPlan(Ops) — is already held exclusively (see
-  /// withTxLocks). Same semantics and results as transact, including
-  /// the commit hook.
+  /// transactLockPlan(Ops) and lists every stripe for fan-out batches —
+  /// is already held exclusively (see withTxLocks). Same semantics and
+  /// results as transact, including the commit ticket and hook; the
+  /// write helper holding the stripes moves the size counter.
   TxResult transactPreLocked(const std::vector<TxOp> &Ops,
-                             const std::vector<unsigned> &Scope) {
-    return transactLocked(Ops, Scope);
-  }
+                             const std::vector<unsigned> &Scope);
 
   /// query r s C, deduplicated across shards.
   std::vector<Tuple> query(const Tuple &Pattern, ColumnSet OutputCols) const;
@@ -367,8 +344,6 @@ public:
   const SynthesizedRelation &shard(unsigned I) const { return Core.shard(I); }
 
 private:
-  size_t updateRehoming(const Tuple &Pattern, const Tuple &Changes);
-
   /// The single shard a transact op touches, or nullopt when it must
   /// run under every stripe: its pattern misses the shard column, it
   /// may rewrite the shard column (migration), or — for insert-like
@@ -376,21 +351,35 @@ private:
   /// conflict probe itself cannot be confined to one shard.
   std::optional<unsigned> txRoutedShard(const TxOp &Op) const;
 
-  /// Runs \p Body() holding exactly the stripes of \p Plan (ascending),
-  /// with their epoch gates raised.
-  template <typename BodyT>
-  decltype(auto) withPlanLocks(const TxLockPlan &Plan, BodyT &&Body) {
-    if (Plan.AllShards)
-      return Core.writeAll(Body);
-    return Core.writeStripes(Plan.Stripes.data(), Plan.Stripes.size(), Body);
-  }
+  /// Inverse ops of a transact batch, each tagged with its shard,
+  /// applied in reverse on abort.
+  using UndoLog = std::vector<std::pair<unsigned, TxOp>>;
 
-  /// Applies the batch with every stripe in \p Scope already held
-  /// exclusively by the caller (Scope lists all stripes for fan-out
-  /// batches) and stamps the commit ticket; the write helper holding
-  /// the stripes moves the size counter.
-  TxResult transactLocked(const std::vector<TxOp> &Ops,
-                          const std::vector<unsigned> &Scope);
+  /// What locate() found for a key pattern.
+  struct Match {
+    bool Found = false;
+    /// OnMatch returned false (a checked upsert's veto).
+    bool Vetoed = false;
+    /// The shard holding the match, and the match with every column
+    /// bound; meaningful when Found.
+    unsigned Owner = 0;
+    Tuple Old;
+  };
+
+  /// The fan-out owner search, inside a writeAll body: scans the shards
+  /// in index order for the one tuple key pattern \p Key matches (at
+  /// most one exists) and, given \p OnMatch, runs it once on the live
+  /// frame of the match.
+  Match locate(const Tuple &Key,
+               function_ref<bool(const BindingFrame &)> OnMatch = {}) const;
+
+  /// The fan-out write, inside a writeAll body: moves \p M's tuple to
+  /// M.Old.merge(\p Values) — updated in place through key \p Key when
+  /// the new tuple stays in M.Owner, else removed and reinserted in its
+  /// new owner — and, given \p Undo, records the inverse ops. The
+  /// caller has checked the FDs when it needs them held.
+  void rehome(const Match &M, const Tuple &Key, const Tuple &Values,
+              UndoLog *Undo);
 
   ShardRouter Router;
   /// The facade's own immutable copy of the decomposition: the source

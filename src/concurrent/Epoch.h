@@ -224,6 +224,12 @@ private:
   size_t NumRaised;
 };
 
+/// The most shards a sharded facade may have: a fan-out write raises one
+/// gate per shard under a single EpochWriterFence. Every shard-count
+/// input (spec directive, relc and relserved flags, bench and example
+/// programs) is checked against this cap.
+inline constexpr unsigned MaxShards = EpochWriterFence::MaxGates;
+
 } // namespace relc
 
 #endif // RELC_CONCURRENT_EPOCH_H

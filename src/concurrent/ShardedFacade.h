@@ -73,6 +73,8 @@ public:
   explicit ShardedFacade(unsigned NumShards, ShardOps Fns = rowOps())
       : Ops(std::move(Fns)), Gates(std::make_unique<EpochGate[]>(NumShards)),
         AllIdx(std::make_unique<unsigned[]>(NumShards)), Locks(NumShards) {
+    assert(NumShards >= 1 && NumShards <= MaxShards &&
+           "shard count must be in [1, MaxShards]");
     Slots.reserve(NumShards);
     for (unsigned S = 0; S != NumShards; ++S) {
       AllIdx[S] = S;

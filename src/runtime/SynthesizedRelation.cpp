@@ -101,6 +101,19 @@ bool SynthesizedRelation::insertConflictsFds(const Tuple &T,
 
 bool SynthesizedRelation::applyTxOp(const TxOp &Op, std::vector<TxOp> &Undo) {
   ColumnSet All = spec()->columns();
+  // The tail of update and found-upsert ops: move the tuple \p Old that
+  // key Op.A matched to Old.merge(\p Values), FD-checked, and record
+  // the inverse.
+  auto UpdateMatch = [&](const Tuple &Old, const Tuple &Values) {
+    Tuple Merged = Old.merge(Values);
+    if (Merged == Old)
+      return true;
+    if (insertConflictsFds(Merged, &Old))
+      return false;
+    update(Op.A, Values);
+    Undo.push_back(TxOp::update(Op.A, Old.project(Values.columns())));
+    return true;
+  };
   switch (Op.Op) {
   case TxOp::Insert: {
     assert(Op.A.columns() == All && "insert must bind every column");
@@ -144,14 +157,7 @@ bool SynthesizedRelation::applyTxOp(const TxOp &Op, std::vector<TxOp> &Undo) {
     });
     if (!Found)
       return true; // no match: a committed no-op, as for update()
-    Tuple Merged = Old.merge(Op.B);
-    if (Merged == Old)
-      return true;
-    if (insertConflictsFds(Merged, &Old))
-      return false;
-    update(Op.A, Op.B);
-    Undo.push_back(TxOp::update(Op.A, Old.project(Op.B.columns())));
-    return true;
+    return UpdateMatch(Old, Op.B);
   }
   case TxOp::Upsert: {
     assert(spec()->fds().isKey(Op.A.columns(), All) &&
@@ -186,16 +192,7 @@ bool SynthesizedRelation::applyTxOp(const TxOp &Op, std::vector<TxOp> &Undo) {
     }
     assert(Values.columns().subsetOf(Rest) &&
            "upsert values must not rebind key columns");
-    if (Values.empty())
-      return true;
-    Tuple Merged = Old.merge(Values);
-    if (Merged == Old)
-      return true;
-    if (insertConflictsFds(Merged, &Old))
-      return false;
-    update(Op.A, Values);
-    Undo.push_back(TxOp::update(Op.A, Old.project(Values.columns())));
-    return true;
+    return UpdateMatch(Old, Values);
   }
   }
   assert(false && "unknown TxOp kind");

@@ -140,7 +140,7 @@ void GroupCommit::run() {
       }
       // Apply under one acquisition of the union footprint. The scope
       // handed to each member is the whole footprint: a superset of
-      // the member's own plan, which transactLocked accepts (size
+      // the member's own plan, which transactPreLocked accepts (size
       // accounting spans the scope either way).
       const std::vector<unsigned> &Scope =
           Union.AllShards ? AllStripes : Union.Stripes;

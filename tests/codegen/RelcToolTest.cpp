@@ -157,12 +157,19 @@ TEST(RelcToolTest, ShardsZeroSuppressesDirectiveFacade) {
 
 TEST(RelcToolTest, ShardsFlagRejectsNonNumericValues) {
   std::string In = writeInput("sched.relc", SchedulerInput);
-  for (const char *Bad : {"four", "4x", "-1", "5000"}) {
+  // 65 is one past MaxShards: a fan-out write fences one epoch gate
+  // per shard and a fence holds at most 64.
+  for (const char *Bad : {"four", "4x", "-1", "65", "5000"}) {
     auto [Rc, Out] = run(std::string(RELC_TOOL_PATH) + " --shards " +
                          Bad + " " + In);
     EXPECT_NE(Rc, 0) << Bad;
-    EXPECT_NE(Out.find("--shards"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("--shards must be an integer in [0, 64]"),
+              std::string::npos)
+        << Out;
   }
+  auto [Rc, Out] = run(std::string(RELC_TOOL_PATH) + " --shards 64 " + In);
+  EXPECT_EQ(Rc, 0) << Out;
+  EXPECT_NE(Out.find("NumShards = 64"), std::string::npos);
 }
 
 TEST(RelcToolTest, ShardColumnFlagRejectsUnknownColumn) {
@@ -336,6 +343,18 @@ TEST(RelcToolTest, MalformedConcurrencyDirectiveIsPositioned) {
   EXPECT_NE(Rc, 0);
   EXPECT_NE(Out.find(In + ":15:13: error:"), std::string::npos) << Out;
   EXPECT_NE(Out.find("concurrency"), std::string::npos) << Out;
+}
+
+TEST(RelcToolTest, ShardCountAboveTheCapIsPositioned) {
+  std::string Text =
+      std::string(SchedulerInput) + "concurrency sharded 65\n";
+  std::string In = writeInput("cap.relc", Text);
+  auto [Rc, Out] = run(std::string(RELC_TOOL_PATH) + " --check " + In);
+  EXPECT_NE(Rc, 0);
+  EXPECT_NE(
+      Out.find(In + ":15:13: error: shard count must be in [1, 64]"),
+      std::string::npos)
+      << Out;
 }
 
 TEST(RelcToolTest, UnknownShardColumnIsPositionedAtTheName) {

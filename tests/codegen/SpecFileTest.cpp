@@ -228,12 +228,15 @@ TEST(SpecFileTest, ErrorShardCountOutOfRangeNamesTheCap) {
   // Syntactically fine, semantically out of range: the diagnostic
   // must name the cap, not claim the grammar is wrong.
   for (const char *Line :
-       {"concurrency sharded 8192\n", "concurrency sharded 0\n",
-        "concurrency sharded 99999999999\n"}) {
+       {"concurrency sharded 65\n", "concurrency sharded 8192\n",
+        "concurrency sharded 0\n", "concurrency sharded 99999999999\n"}) {
     SpecFileResult R = parseSpecFile(std::string(SchedulerFile) + Line);
     ASSERT_FALSE(R.ok()) << Line;
-    EXPECT_NE(R.Error.find("[1, 4096]"), std::string::npos) << R.Error;
+    EXPECT_NE(R.Error.find("[1, 64]"), std::string::npos) << R.Error;
   }
+  EXPECT_TRUE(
+      parseSpecFile(std::string(SchedulerFile) + "concurrency sharded 64\n")
+          .ok());
 }
 
 TEST(SpecFileTest, ErrorUnknownShardColumn) {

@@ -900,6 +900,90 @@ TEST_F(ConcurrentRelationTest, TransactMigrationInsideBatch) {
   EXPECT_EQ(Rel.toRelation(), Before);
 }
 
+TEST_F(ConcurrentRelationTest, TransactCheckedUpsertVetoOnFanOutArm) {
+  // Sharded by state: checked upserts by {ns, pid} cannot route. A
+  // veto on a found key (the callback saw the live frame) and on an
+  // absent key (the callback saw nullptr) must both unwind the
+  // migration and fan-out insert applied before them.
+  ConcurrentOptions Opts;
+  Opts.NumShards = 4;
+  Opts.ShardColumn = Cat.get("state");
+  ConcurrentRelation Rel(Decomp, Opts);
+  SynthesizedRelation Seq{Decomposition(Decomp)};
+  ColumnId ColState = Cat.get("state"), ColCpu = Cat.get("cpu");
+  for (int64_t P = 0; P != 4; ++P) {
+    ASSERT_TRUE(Rel.insert(proc(1, P, P % 3, 10 * P)));
+    ASSERT_TRUE(Seq.insert(proc(1, P, P % 3, 10 * P)));
+  }
+  TxResult First = Rel.transact(std::vector<TxOp>{
+      TxOp::update(key(1, 3), TupleBuilder(Cat).set("cpu", 31).build())});
+  ASSERT_TRUE(First.Committed);
+  ASSERT_TRUE(Seq.transact(std::vector<TxOp>{TxOp::update(
+                               key(1, 3),
+                               TupleBuilder(Cat).set("cpu", 31).build())})
+                  .Committed);
+  Relation Before = Rel.toRelation();
+  size_t SizeBefore = Rel.size();
+
+  auto ExpectVetoed = [&](const std::vector<TxOp> &Ops, size_t FailedOp) {
+    EXPECT_TRUE(Rel.transactLockPlan(Ops).AllShards);
+    TxResult R = Rel.transact(Ops);
+    EXPECT_FALSE(R.Committed);
+    EXPECT_EQ(R.FailedOp, FailedOp);
+    EXPECT_EQ(R.Ticket, 0u);
+    TxResult RS = Seq.transact(Ops);
+    EXPECT_FALSE(RS.Committed);
+    EXPECT_EQ(RS.FailedOp, FailedOp);
+    EXPECT_EQ(Rel.toRelation(), Before);
+    EXPECT_EQ(Rel.toRelation(), Seq.toRelation());
+    EXPECT_EQ(Rel.size(), SizeBefore);
+    EXPECT_EQ(Rel.snapshot().ticket(), First.Ticket);
+  };
+
+  // Found key: a migrating update and a fan-out insert precede it.
+  size_t FoundCalls = 0;
+  std::vector<TxOp> Found;
+  Found.push_back(
+      TxOp::update(key(1, 0), TupleBuilder(Cat).set("state", 2).build()));
+  Found.push_back(TxOp::insert(proc(1, 9, 1, 90)));
+  Found.push_back(
+      TxOp::upsertChecked(key(1, 1), [&](const BindingFrame *Cur, Tuple &V) {
+        ++FoundCalls;
+        EXPECT_NE(Cur, nullptr);
+        V.set(ColState, Value::ofInt(0)); // would migrate: vetoed first
+        return false;
+      }));
+  ExpectVetoed(Found, 2);
+  EXPECT_EQ(FoundCalls, 2u); // once per engine
+
+  // Absent key: a migrating upsert precedes it; the veto comes with
+  // every non-key column bound, so only the veto can abort.
+  size_t AbsentCalls = 0;
+  std::vector<TxOp> Absent;
+  Absent.push_back(TxOp::upsert(key(1, 2), [&](const BindingFrame *Cur,
+                                               Tuple &V) {
+    ASSERT_NE(Cur, nullptr);
+    V.set(ColState, Value::ofInt(0));
+    V.set(ColCpu, Value::ofInt(Cur->get(ColCpu).asInt() + 1));
+  }));
+  Absent.push_back(
+      TxOp::upsertChecked(key(7, 7), [&](const BindingFrame *Cur, Tuple &V) {
+        ++AbsentCalls;
+        EXPECT_EQ(Cur, nullptr);
+        V.set(ColState, Value::ofInt(1));
+        V.set(ColCpu, Value::ofInt(70));
+        return false;
+      }));
+  ExpectVetoed(Absent, 1);
+  EXPECT_EQ(AbsentCalls, 2u);
+
+  // The aborts consumed no ticket: the next commit is the next one.
+  TxResult Next = Rel.transact(std::vector<TxOp>{
+      TxOp::update(key(1, 3), TupleBuilder(Cat).set("cpu", 32).build())});
+  ASSERT_TRUE(Next.Committed);
+  EXPECT_EQ(Next.Ticket, First.Ticket + 1);
+}
+
 //===----------------------------------------------------------------------===
 // Five-system transact α-equivalence.
 //===----------------------------------------------------------------------===
@@ -969,6 +1053,74 @@ bool oracleTransact(Relation &R, const FuncDeps &Fds, ColumnSet All,
   return true;
 }
 
+/// A random 1-4-op batch over keys with values in [0, 9]: inserts
+/// over a narrow value domain, removes by key and by one non-key
+/// column, updates of a random non-key subset, and deterministic
+/// upserts (the formula oracleTransact mirrors).
+TxScript randomTxScript(Rng &R, const Catalog &Cat, ColumnSet Key,
+                        ColumnSet Rest) {
+  auto RandKey = [&] {
+    Tuple K;
+    for (ColumnId C : Key)
+      K.set(C, Value::ofInt(R.range(0, 9)));
+    return K;
+  };
+
+  TxScript Script;
+  unsigned N = 1 + static_cast<unsigned>(R.below(4));
+  for (unsigned J = 0; J != N; ++J) {
+    int64_t Delta = R.range(0, 6);
+    Script.Deltas.push_back(Delta);
+    switch (R.below(8)) {
+    case 0:
+    case 1: { // insert (narrow value domain: conflicts do happen)
+      Tuple T = RandKey();
+      for (ColumnId C : Rest)
+        T.set(C, Value::ofInt(R.range(0, 6)));
+      Script.Ops.push_back(TxOp::insert(T));
+      break;
+    }
+    case 2: // remove by key (routed under key sharding)
+      Script.Ops.push_back(TxOp::remove(RandKey()));
+      break;
+    case 3: { // remove by one non-key column (fan-out)
+      ColumnId C = Rest.first();
+      Script.Ops.push_back(TxOp::remove(
+          TupleBuilder(Cat)
+              .set(Cat.name(C), static_cast<int64_t>(R.below(7)))
+              .build()));
+      break;
+    }
+    case 4: { // update a random non-empty subset of the non-key
+              // columns (rewrites the shard column when it is
+              // non-key: migration)
+      Tuple Changes;
+      for (ColumnId C : Rest)
+        if (R.chance(0.5))
+          Changes.set(C, Value::ofInt(R.range(0, 6)));
+      if (Changes.empty())
+        Changes.set(Rest.first(), Value::ofInt(R.range(0, 6)));
+      Script.Ops.push_back(TxOp::update(RandKey(), Changes));
+      break;
+    }
+    default: { // upsert: deterministic read-modify-write
+      Script.Ops.push_back(TxOp::upsert(
+          RandKey(), [Rest, Delta](const BindingFrame *Cur, Tuple &V) {
+            unsigned Rank = 0;
+            for (ColumnId C : Rest) {
+              int64_t Base =
+                  Cur && Cur->has(C) ? Cur->get(C).asInt() : 0;
+              V.set(C, Value::ofInt((Base + Delta + Rank) % 7));
+              ++Rank;
+            }
+          }));
+      break;
+    }
+    }
+  }
+  return Script;
+}
+
 /// Random 1-4-op batches applied in lockstep to the sharded facade,
 /// the sequential engine, and the oracle semantics above: commit
 /// verdicts, failing indices, and final relations must all agree —
@@ -992,68 +1144,9 @@ void runTransactAlphaEquivalence(const RelSpecRef &Spec, Decomposition D,
   Relation Oracle(All);
   Rng R(Seed);
 
-  auto RandKey = [&] {
-    Tuple K;
-    for (ColumnId C : Key)
-      K.set(C, Value::ofInt(R.range(0, 9)));
-    return K;
-  };
-
   size_t Commits = 0, Aborts = 0;
   for (int Step = 0; Step != 200; ++Step) {
-    TxScript Script;
-    unsigned N = 1 + static_cast<unsigned>(R.below(4));
-    for (unsigned J = 0; J != N; ++J) {
-      int64_t Delta = R.range(0, 6);
-      Script.Deltas.push_back(Delta);
-      switch (R.below(8)) {
-      case 0:
-      case 1: { // insert (narrow value domain: conflicts do happen)
-        Tuple T = RandKey();
-        for (ColumnId C : Rest)
-          T.set(C, Value::ofInt(R.range(0, 6)));
-        Script.Ops.push_back(TxOp::insert(T));
-        break;
-      }
-      case 2: // remove by key (routed under key sharding)
-        Script.Ops.push_back(TxOp::remove(RandKey()));
-        break;
-      case 3: { // remove by one non-key column (fan-out)
-        ColumnId C = Rest.first();
-        Script.Ops.push_back(TxOp::remove(
-            TupleBuilder(Cat)
-                .set(Cat.name(C), static_cast<int64_t>(R.below(7)))
-                .build()));
-        break;
-      }
-      case 4: { // update a random non-empty subset of the non-key
-                // columns (rewrites the shard column when it is
-                // non-key: migration)
-        Tuple Changes;
-        for (ColumnId C : Rest)
-          if (R.chance(0.5))
-            Changes.set(C, Value::ofInt(R.range(0, 6)));
-        if (Changes.empty())
-          Changes.set(Rest.first(), Value::ofInt(R.range(0, 6)));
-        Script.Ops.push_back(TxOp::update(RandKey(), Changes));
-        break;
-      }
-      default: { // upsert: deterministic read-modify-write
-        Script.Ops.push_back(TxOp::upsert(
-            RandKey(), [Rest, Delta](const BindingFrame *Cur, Tuple &V) {
-              unsigned Rank = 0;
-              for (ColumnId C : Rest) {
-                int64_t Base =
-                    Cur && Cur->has(C) ? Cur->get(C).asInt() : 0;
-                V.set(C, Value::ofInt((Base + Delta + Rank) % 7));
-                ++Rank;
-              }
-            }));
-        break;
-      }
-      }
-    }
-
+    TxScript Script = randomTxScript(R, Cat, Key, Rest);
     TxResult RC = Sharded.transact(Script.Ops);
     TxResult RS = Sequential.transact(Script.Ops);
     bool RO = oracleTransact(Oracle, Spec->fds(), All, Rest, Script);
@@ -1133,140 +1226,55 @@ TEST_F(ConcurrentRelationTest, TransactAlphaZtopoShardedByNonKey) {
       S, ZtopoRelational::makeDefaultDecomposition(S), Opts, 0x7a0007);
 }
 
-//===--------------------------------------------------------------------===//
-// transactKeys: the interpreted mirror of the generated
-// `transaction cols x N` form (transactN_by_<key>).
-//===--------------------------------------------------------------------===//
-
-TEST_F(ConcurrentRelationTest, TransactKeysTransfersAtomically) {
-  ConcurrentRelation Rel(Decomp, {8, std::nullopt});
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 50)));
-  ASSERT_TRUE(Rel.insert(proc(2, 2, 0, 10)));
-  ColumnId ColCpu = Cat.get("cpu");
-
-  TxResult R = Rel.transactKeys(
-      {key(1, 1), key(2, 2)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        EXPECT_TRUE(Views[0].Found);
-        EXPECT_TRUE(Views[1].Found);
-        int64_t A = Views[0].Values.get(ColCpu).asInt();
-        int64_t B = Views[1].Values.get(ColCpu).asInt();
-        Views[0].Values.set(ColCpu, Value::ofInt(A - 30));
-        Views[1].Values.set(ColCpu, Value::ofInt(B + 30));
-        return true;
-      });
-  EXPECT_TRUE(R.Committed);
-  EXPECT_GT(R.Ticket, 0u);
-  EXPECT_TRUE(Rel.contains(proc(1, 1, 0, 20)));
-  EXPECT_TRUE(Rel.contains(proc(2, 2, 0, 40)));
-  EXPECT_EQ(Rel.size(), 2u);
-}
-
-TEST_F(ConcurrentRelationTest, TransactKeysInsertsAbsentSides) {
-  ConcurrentRelation Rel(Decomp, {4, std::nullopt});
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 7)));
-
-  // One found key, one absent: the absent side comes back fully bound
-  // and is inserted; the found side is left untouched (no write).
-  TxResult R = Rel.transactKeys(
-      {key(1, 1), key(9, 9)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        EXPECT_TRUE(Views[0].Found);
-        EXPECT_FALSE(Views[1].Found);
-        EXPECT_TRUE(Views[1].Values.columns().empty());
-        Views[1].Values =
-            TupleBuilder(Cat).set("state", 2).set("cpu", 1).build();
-        return true;
-      });
-  EXPECT_TRUE(R.Committed);
-  EXPECT_EQ(Rel.size(), 2u);
-  EXPECT_TRUE(Rel.contains(proc(1, 1, 0, 7)));
-  EXPECT_TRUE(Rel.contains(proc(9, 9, 2, 1)));
-}
-
-TEST_F(ConcurrentRelationTest, TransactKeysCallbackAbortAppliesNothing) {
-  ConcurrentRelation Rel(Decomp, {4, std::nullopt});
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 10)));
-  Relation Before = Rel.toRelation();
-
-  TxResult R = Rel.transactKeys(
-      {key(1, 1), key(2, 2)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        Views[0].Values.set(Cat.get("cpu"), Value::ofInt(99));
-        return false; // abort
-      });
-  EXPECT_FALSE(R.Committed);
-  EXPECT_EQ(R.FailedOp, 2u); // callback abort reports Keys.size()
-  EXPECT_EQ(R.Ticket, 0u);
-  EXPECT_EQ(Rel.toRelation(), Before);
-}
-
-TEST_F(ConcurrentRelationTest, TransactKeysUnderboundInsertAborts) {
-  ConcurrentRelation Rel(Decomp, {4, std::nullopt});
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 10)));
-  Relation Before = Rel.toRelation();
-
-  // The absent key's view binds only one of the two non-key columns:
-  // conditional abort naming the offending key, nothing applied.
-  TxResult R = Rel.transactKeys(
-      {key(1, 1), key(5, 5)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        Views[0].Values.set(Cat.get("cpu"), Value::ofInt(11));
-        Views[1].Values = TupleBuilder(Cat).set("state", 1).build();
-        return true;
-      });
-  EXPECT_FALSE(R.Committed);
-  EXPECT_EQ(R.FailedOp, 1u);
-  EXPECT_EQ(Rel.toRelation(), Before);
-}
-
-TEST_F(ConcurrentRelationTest, TransactKeysReadOnlyStillCommits) {
-  ConcurrentRelation Rel(Decomp, {4, std::nullopt});
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 10)));
-
-  // A batch that touches nothing is a committed (serializable) unit
-  // with its own ticket — the generated transactN methods behave the
-  // same when Fn leaves every side unchanged.
-  TxResult R = Rel.transactKeys(
-      {key(1, 1)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        EXPECT_TRUE(Views[0].Found);
-        return true;
-      });
-  EXPECT_TRUE(R.Committed);
-  EXPECT_GT(R.Ticket, 0u);
-  EXPECT_EQ(Rel.size(), 1u);
-}
-
-TEST_F(ConcurrentRelationTest, TransactKeysFansOutWhenShardedByNonKey) {
-  // Sharded by state (not part of the {ns, pid} key): the lock plan
-  // degrades to all stripes and write-backs may migrate tuples
-  // between shards.
+TEST_F(ConcurrentRelationTest, CommitHookRedoReplaysFanOutBatches) {
+  // Sharded by state: inserts, key removes and upserts fan out, and
+  // updates or upserts that rewrite state migrate tuples, so the redo
+  // the hook sees comes from the fan-out arm. Replayed in ticket order
+  // into a fresh sequential engine, every batch must commit and the
+  // result must be the facade's relation.
   ConcurrentOptions Opts;
   Opts.NumShards = 4;
   Opts.ShardColumn = Cat.get("state");
-  ConcurrentRelation Rel(fig2(Spec), Opts);
-  ASSERT_TRUE(Rel.insert(proc(1, 1, 0, 10)));
-  ASSERT_TRUE(Rel.insert(proc(2, 2, 1, 20)));
+  ConcurrentRelation Rel(Decomp, Opts);
+  std::vector<std::pair<uint64_t, std::vector<TxOp>>> Log;
+  Rel.setCommitHook([&](uint64_t Ticket, const std::vector<TxOp> &Redo) {
+    Log.emplace_back(Ticket, Redo);
+  });
 
-  ColumnId ColState = Cat.get("state");
-  TxResult R = Rel.transactKeys(
-      {key(1, 1), key(2, 2)},
-      [&](std::vector<ConcurrentRelation::TxKeyView> &Views) {
-        // Swap the two tuples' states: both migrate shards.
-        Views[0].Values.set(ColState, Value::ofInt(1));
-        Views[1].Values.set(ColState, Value::ofInt(0));
-        return true;
-      });
-  EXPECT_TRUE(R.Committed);
-  EXPECT_TRUE(Rel.contains(proc(1, 1, 1, 10)));
-  EXPECT_TRUE(Rel.contains(proc(2, 2, 0, 20)));
-  EXPECT_EQ(Rel.size(), 2u);
+  ColumnSet Key = Cat.parseSet("ns, pid");
+  ColumnSet Rest = Cat.allColumns().minus(Key);
+  Rng R(0x7a0010);
+  const size_t Steps = 300;
+  size_t FanOut = 0, Commits = 0;
+  for (size_t Step = 0; Step != Steps; ++Step) {
+    TxScript Script = randomTxScript(R, Cat, Key, Rest);
+    FanOut += Rel.transactLockPlan(Script.Ops).AllShards;
+    Commits += Rel.transact(Script.Ops).Committed;
+  }
+  Rel.setCommitHook(nullptr);
+  // Only batches of nothing but removes by state route.
+  EXPECT_GT(FanOut, Steps * 9 / 10);
+  EXPECT_GT(Commits, 0u);
+  ASSERT_FALSE(Log.empty());
 
-  size_t Sum = 0;
-  for (unsigned I = 0; I != Rel.numShards(); ++I)
-    Sum += Rel.shard(I).size();
-  EXPECT_EQ(Sum, 2u);
+  SynthesizedRelation Replay{Decomposition(Decomp)};
+  size_t Kinds[4] = {0, 0, 0, 0};
+  uint64_t Last = 0;
+  for (const auto &[Ticket, Redo] : Log) {
+    EXPECT_GT(Ticket, Last); // the hook sees tickets in order
+    Last = Ticket;
+    for (const TxOp &Op : Redo)
+      ++Kinds[Op.Op];
+    ASSERT_TRUE(Replay.transact(Redo).Committed) << "ticket " << Ticket;
+  }
+  EXPECT_EQ(Replay.toRelation(), Rel.toRelation());
+  EXPECT_EQ(Replay.size(), Rel.size());
+  // Inserts, removes (pattern removes and migrations) and in-place
+  // updates all reached the log; redo never carries an upsert.
+  EXPECT_GT(Kinds[TxOp::Insert], 0u);
+  EXPECT_GT(Kinds[TxOp::Remove], 0u);
+  EXPECT_GT(Kinds[TxOp::Update], 0u);
+  EXPECT_EQ(Kinds[TxOp::Upsert], 0u);
 }
 
 TEST_F(ConcurrentRelationTest, IpcapDecompositionRoundTrip) {

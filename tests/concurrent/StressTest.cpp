@@ -68,6 +68,33 @@ void applyUpsert(SynthesizedRelation &Rel, const Catalog &Cat,
   });
 }
 
+/// Replays writer logs serially, thread by thread, into \p Replay;
+/// returns the number of ops replayed.
+size_t replayLogs(SynthesizedRelation &Replay, const Catalog &Cat,
+                  const std::vector<std::vector<LoggedOp>> &Logs) {
+  size_t Ops = 0;
+  for (const std::vector<LoggedOp> &Log : Logs) {
+    Ops += Log.size();
+    for (const LoggedOp &Op : Log) {
+      switch (Op.Op) {
+      case LoggedOp::Insert:
+        Replay.insert(Op.A);
+        break;
+      case LoggedOp::Remove:
+        Replay.remove(Op.A);
+        break;
+      case LoggedOp::Update:
+        Replay.update(Op.A, Op.B);
+        break;
+      case LoggedOp::Upsert:
+        applyUpsert(Replay, Cat, Op.A, Op.Delta);
+        break;
+      }
+    }
+  }
+  return Ops;
+}
+
 /// Writer loop: FD-safe random mutations confined to pid values
 /// `Tid mod NumWriters` (namespaces are shared across threads, so
 /// shards see real cross-thread contention while the key sets stay
@@ -229,27 +256,7 @@ void runStress(ConcurrentOptions Opts, unsigned NumWriters,
   // Serial replay, thread by thread: a legal serialization because
   // the writers' key sets are disjoint, so cross-thread ops commute.
   SynthesizedRelation Replay{Decomposition(D)};
-  size_t TotalOps = 0;
-  for (const std::vector<LoggedOp> &Log : Logs) {
-    TotalOps += Log.size();
-    for (const LoggedOp &Op : Log) {
-      switch (Op.Op) {
-      case LoggedOp::Insert:
-        Replay.insert(Op.A);
-        break;
-      case LoggedOp::Remove:
-        Replay.remove(Op.A);
-        break;
-      case LoggedOp::Update:
-        Replay.update(Op.A, Op.B);
-        break;
-      case LoggedOp::Upsert:
-        applyUpsert(Replay, Cat, Op.A, Op.Delta);
-        break;
-      }
-    }
-  }
-  EXPECT_GT(TotalOps, 0u);
+  EXPECT_GT(replayLogs(Replay, Cat, Logs), 0u);
   EXPECT_EQ(Rel.toRelation(), Replay.toRelation());
   EXPECT_EQ(Rel.size(), Replay.size());
 }
@@ -541,23 +548,7 @@ TEST(ConcurrentStressTest, TransactionsRaceSingleOpWriters) {
   // Single-op logs first (their keys are disjoint from every
   // transaction's, so they commute with the whole transaction
   // history), then transactions in ticket order.
-  for (const std::vector<LoggedOp> &Log : OpLogs)
-    for (const LoggedOp &Op : Log) {
-      switch (Op.Op) {
-      case LoggedOp::Insert:
-        Replay.insert(Op.A);
-        break;
-      case LoggedOp::Remove:
-        Replay.remove(Op.A);
-        break;
-      case LoggedOp::Update:
-        Replay.update(Op.A, Op.B);
-        break;
-      case LoggedOp::Upsert:
-        applyUpsert(Replay, Cat, Op.A, Op.Delta);
-        break;
-      }
-    }
+  replayLogs(Replay, Cat, OpLogs);
   std::vector<const LoggedTx *> History;
   for (const std::vector<LoggedTx> &Log : TxLogs)
     for (const LoggedTx &Tx : Log)
@@ -635,27 +626,7 @@ TEST(ConcurrentStressTest, SnapshotsUnderWriterChurn) {
 
   // Writers progressed and stayed correct under pinned generations.
   SynthesizedRelation Replay{Decomposition(D)};
-  size_t TotalOps = 0;
-  for (const std::vector<LoggedOp> &Log : Logs) {
-    TotalOps += Log.size();
-    for (const LoggedOp &Op : Log) {
-      switch (Op.Op) {
-      case LoggedOp::Insert:
-        Replay.insert(Op.A);
-        break;
-      case LoggedOp::Remove:
-        Replay.remove(Op.A);
-        break;
-      case LoggedOp::Update:
-        Replay.update(Op.A, Op.B);
-        break;
-      case LoggedOp::Upsert:
-        applyUpsert(Replay, Cat, Op.A, Op.Delta);
-        break;
-      }
-    }
-  }
-  EXPECT_GT(TotalOps, 0u);
+  EXPECT_GT(replayLogs(Replay, Cat, Logs), 0u);
   // A post-join snapshot and the direct extraction agree with the
   // serial replay.
   ConcurrentRelation::Snapshot Final = Rel.snapshot();

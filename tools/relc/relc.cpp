@@ -36,6 +36,7 @@
 #include "codegen/ir/IrPrinter.h"
 #include "codegen/ir/Lowering.h"
 #include "codegen/ir/Passes.h"
+#include "concurrent/Epoch.h"
 #include "decomp/Adequacy.h"
 #include "decomp/Printer.h"
 
@@ -88,17 +89,18 @@ int main(int argc, char **argv) {
       Output = argv[++I];
     else if (std::strcmp(argv[I], "--shards") == 0 && I + 1 < argc) {
       // 0 suppresses the facade (overriding a `concurrency`
-      // directive); the upper bound is the directive's sanity cap —
-      // the facade holds a by-value sub-instance and a padded lock
-      // per shard. Parse strictly: "four" or "4x" must not silently
-      // become a facade-stripping 0 (or a truncated 4).
+      // directive); the upper bound is the directive's cap, MaxShards
+      // — a fan-out write fences one epoch gate per shard. Parse
+      // strictly: "four" or "4x" must not silently become a
+      // facade-stripping 0 (or a truncated 4).
       const char *Arg = argv[++I];
       char *End = nullptr;
       long V = std::strtol(Arg, &End, 10);
-      if (End == Arg || *End != '\0' || V < 0 || V > 4096) {
+      if (End == Arg || *End != '\0' || V < 0 || V > long(MaxShards)) {
         std::fprintf(stderr,
                      "relc: error: --shards must be an integer in "
-                     "[0, 4096] (0 disables the facade)\n");
+                     "[0, %u] (0 disables the facade)\n",
+                     MaxShards);
         return 2;
       }
       Shards = static_cast<int>(V);

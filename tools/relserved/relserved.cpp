@@ -170,8 +170,7 @@ const std::vector<FlagSpec> ServeFlags = {
     PortFlag,
     {"--port-file", FlagSpec::String},
     {"--wal", FlagSpec::String},
-    // A fan-out fence covers at most EpochWriterFence::MaxGates shards.
-    {"--shards", FlagSpec::Int, 1, int64_t(EpochWriterFence::MaxGates)},
+    {"--shards", FlagSpec::Int, 1, int64_t(MaxShards)},
     {"--max-group", FlagSpec::Int, 1, MaxCount},
     {"--checkpoint-every", FlagSpec::Int, 0, MaxCount}};
 
