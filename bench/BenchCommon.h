@@ -13,6 +13,8 @@
 #ifndef RELC_BENCH_BENCHCOMMON_H
 #define RELC_BENCH_BENCHCOMMON_H
 
+#include "support/ParseInt.h"
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -82,6 +84,24 @@ inline const char *argValue(int Argc, char **Argv, const char *Flag) {
   return nullptr;
 }
 
+/// The value of "--flag N", a whole decimal integer in [\p Min, \p Max],
+/// or \p Default when the flag is absent. A missing, malformed ("4x")
+/// or out-of-range value prints why and exits 2.
+inline int64_t intFlag(int Argc, char **Argv, const char *Flag,
+                       int64_t Default, int64_t Min, int64_t Max) {
+  if (!hasArg(Argc, Argv, Flag))
+    return Default;
+  const char *V = argValue(Argc, Argv, Flag);
+  int64_t N = 0;
+  if (!relc::parseInt(V, Min, Max, N)) {
+    std::fprintf(stderr, "%s: %s needs an integer in [%lld, %lld], got '%s'\n",
+                 Argv[0], Flag, static_cast<long long>(Min),
+                 static_cast<long long>(Max), V ? V : "");
+    std::exit(2);
+  }
+  return N;
+}
+
 /// Strict positional arguments of a figure/table driver that takes at
 /// most \p MaxArgs of them, all numeric. --help prints \p Usage and
 /// exits 0; a surplus argument, a flag (a "--quick" is not a size), a
@@ -105,15 +125,20 @@ public:
     if (I >= Argc)
       return Default;
     const char *V = Argv[I];
-    char *End = nullptr;
-    errno = 0;
-    double D = std::is_integral_v<T> ? double(std::strtoll(V, &End, 10))
-                                     : std::strtod(V, &End);
-    if (!*V || *End || errno == ERANGE || !(D >= double(Min)) ||
-        !(D <= double(Max)))
-      fail("argument " + std::to_string(I) + " must be a number in [" +
-           show(Min) + ", " + show(Max) + "], got '" + V + "'");
-    return static_cast<T>(D);
+    if constexpr (std::is_integral_v<T>) {
+      int64_t N = 0;
+      if (relc::parseInt(V, int64_t(Min), int64_t(Max), N))
+        return static_cast<T>(N);
+    } else {
+      char *End = nullptr;
+      errno = 0;
+      double D = std::strtod(V, &End);
+      if (*V && !*End && errno != ERANGE && D >= double(Min) &&
+          D <= double(Max))
+        return static_cast<T>(D);
+    }
+    fail("argument " + std::to_string(I) + " must be a number in [" +
+         show(Min) + ", " + show(Max) + "], got '" + V + "'");
   }
 
 private:

@@ -20,9 +20,10 @@
 // and speedup over the single-thread run — the number the sharding
 // exists for. --json <path> writes the machine-readable report (CI
 // uploads it); --quick shrinks the loops; --threads caps the thread
-// sweep; --shards sets the shard count (default 16, at most MaxShards
-// = 64); --rev stamps the report with a revision id (falls back to
-// $GITHUB_SHA).
+// sweep (default 8, at most 256); --shards sets the shard count
+// (default 16, at most MaxShards = 64); --rev stamps the report with a
+// revision id (falls back to $GITHUB_SHA). A malformed or out-of-range
+// count exits 2.
 //
 // Run on a single-core machine this degenerates to measuring lock
 // overhead (speedup ≈ 1x or below); the scaling claims only mean
@@ -472,6 +473,10 @@ std::vector<PhaseResult> runSystem(const Workload &W, unsigned Shards,
   return {Ins, Reins, Probe, Mixed, Upsert, Transact, Scan, Snap, CkptMix};
 }
 
+/// Upper bound of --threads: the sweep doubles up to it, and far past
+/// the core count it measures only oversubscription.
+constexpr int64_t MaxBenchThreads = 256;
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -481,20 +486,10 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: --json requires a path argument\n");
     return 1;
   }
-  const char *ShardsArg = argValue(argc, argv, "--shards");
-  const char *ThreadsArg = argValue(argc, argv, "--threads");
-  int ShardsVal = ShardsArg ? std::atoi(ShardsArg) : 16;
-  int ThreadsVal = ThreadsArg ? std::atoi(ThreadsArg) : 8;
-  if (ShardsVal <= 0 || ThreadsVal <= 0) {
-    std::fprintf(stderr, "error: --shards/--threads must be positive\n");
-    return 1;
-  }
-  if (ShardsVal > int(MaxShards)) {
-    std::fprintf(stderr, "error: --shards must be at most %u\n", MaxShards);
-    return 1;
-  }
-  unsigned Shards = unsigned(ShardsVal);
-  unsigned MaxThreads = unsigned(ThreadsVal);
+  unsigned Shards =
+      unsigned(intFlag(argc, argv, "--shards", 16, 1, MaxShards));
+  unsigned MaxThreads =
+      unsigned(intFlag(argc, argv, "--threads", 8, 1, MaxBenchThreads));
 
   size_t N = Quick ? 8000 : 40000;
   size_t Probes = Quick ? 24000 : 160000;
@@ -502,6 +497,7 @@ int main(int argc, char **argv) {
 
   std::printf("hardware threads: %u, shards: %u\n",
               std::thread::hardware_concurrency(), Shards);
+  std::fflush(stdout); // the configuration shows before the long run
 
   JsonReporter Json("concurrent", Quick ? "quick" : "full");
   // Provenance for the regression gate: results from a different

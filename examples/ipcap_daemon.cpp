@@ -25,11 +25,13 @@
 // owned its keys outright — upsert makes that external ownership
 // partitioning unnecessary.) Both modes end by flushing every flow
 // and printing totals, which must agree between a sequential and a
-// threaded run over the same trace.
+// threaded run over the same trace. A malformed or out-of-range
+// number, or an unknown argument, prints the usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concurrent/ConcurrentRelation.h"
+#include "support/ParseInt.h"
 #include "systems/IpcapRelational.h"
 #include "workloads/PacketTrace.h"
 
@@ -43,6 +45,9 @@
 using namespace relc;
 
 namespace {
+
+/// Largest trace accepted: it is generated and held in memory whole.
+constexpr int64_t MaxPackets = 100000000;
 
 int runSequential(const std::vector<Packet> &Trace) {
   IpcapRelational Daemon;
@@ -146,22 +151,29 @@ int main(int argc, char **argv) {
   PacketTraceOptions Opts;
   Opts.NumPackets = 300000; // the paper's 3×10^5
   unsigned NumThreads = 0;
+  bool HavePackets = false;
+  auto Usage = [&](const char *Why) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [num-packets] [--threads N]\n"
+                 "  num-packets in [1, %lld]; N in [1, %u] (the flow "
+                 "table is sharded four ways per thread)\n",
+                 argv[0], Why, argv[0], static_cast<long long>(MaxPackets),
+                 MaxShards / 4);
+    return 2;
+  };
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      int N = std::atoi(argv[++I]);
-      // runThreaded shards the flow table four ways per thread.
-      if (N <= 0 || N > int(MaxShards / 4)) {
-        std::fprintf(stderr, "error: --threads must be in [1, %u]\n",
-                     MaxShards / 4);
-        return 2;
-      }
+    int64_t N = 0;
+    if (std::strcmp(argv[I], "--threads") == 0) {
+      if (I + 1 == argc || !parseInt(argv[++I], 1, MaxShards / 4, N))
+        return Usage("--threads needs an integer in range");
       NumThreads = static_cast<unsigned>(N);
-    } else if (argv[I][0] == '-') {
-      std::fprintf(stderr, "usage: %s [num-packets] [--threads N]\n",
-                   argv[0]);
-      return 2;
+    } else if (argv[I][0] == '-' || HavePackets) {
+      return Usage("unexpected argument");
+    } else if (!parseInt(argv[I], 1, MaxPackets, N)) {
+      return Usage("num-packets must be an integer in range");
     } else {
-      Opts.NumPackets = static_cast<size_t>(std::atoll(argv[I]));
+      Opts.NumPackets = static_cast<size_t>(N);
+      HavePackets = true;
     }
   }
 

@@ -574,7 +574,7 @@ Relation ConcurrentRelation::Snapshot::toRelation() const {
   assert(valid() && "toRelation on an empty snapshot handle");
   Relation Result(shard(0).catalog().allColumns());
   for (unsigned I = 0; I != numShards(); ++I)
-    Result = Relation::unionWith(Result, shard(I).toRelation());
+    Result.unionIn(shard(I).toRelation());
   return Result;
 }
 

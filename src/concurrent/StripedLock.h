@@ -90,7 +90,7 @@ public:
 
   /// Writer lock on one stripe: draw a ticket, advertise the claim,
   /// defer to more senior claimants, then lock. Must not be called
-  /// while holding any other stripe (use ShardSetGuard for sets).
+  /// while holding any other stripe (use lockSet for sets).
   std::unique_lock<std::shared_mutex> exclusive(unsigned I) const {
     uint64_t T = drawTicket();
     claimStripe(I, T);

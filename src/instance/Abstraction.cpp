@@ -16,13 +16,14 @@ namespace {
 /// decomposition language) would otherwise be recomputed once per path.
 class Abstractor {
 public:
-  Relation alphaNode(const NodeInstance *N) {
+  /// The reference stays valid for the Abstractor's lifetime
+  /// (unordered_map nodes never move).
+  const Relation &alphaNode(const NodeInstance *N) {
     auto It = Memo.find(N);
     if (It != Memo.end())
       return It->second;
     Relation R = alphaPrim(N, N->node().Prim);
-    Memo.emplace(N, R);
-    return R;
+    return Memo.emplace(N, std::move(R)).first->second;
   }
 
 private:
@@ -44,8 +45,7 @@ private:
       Map.forEach([&](const Tuple &Key, NodeInstance *Child) {
         Relation KeyRel(Key.columns());
         KeyRel.insert(Key);
-        Result = Relation::unionWith(Result,
-                                     Relation::join(KeyRel, alphaNode(Child)));
+        Result.unionIn(Relation::join(KeyRel, alphaNode(Child)));
         return true;
       });
       return Result;

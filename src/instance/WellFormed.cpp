@@ -178,8 +178,7 @@ private:
           .forEach([&](const Tuple &Key, NodeInstance *Child) {
             Relation KeyRel(Key.columns());
             KeyRel.insert(Key);
-            Result = Relation::unionWith(
-                Result, Relation::join(KeyRel, abstractNode(Child)));
+            Result.unionIn(Relation::join(KeyRel, abstractNode(Child)));
             return true;
           });
       return Result;

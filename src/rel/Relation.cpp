@@ -116,14 +116,20 @@ Relation Relation::join(const Relation &R1, const Relation &R2) {
 }
 
 Relation Relation::unionWith(const Relation &R1, const Relation &R2) {
-  if (R1.empty() && !R1.HaveCols)
-    return R2;
-  if (R2.empty() && !R2.HaveCols)
-    return R1;
   Relation Result = R1;
-  for (const Tuple &T : R2.Tuples)
-    Result.insert(T);
+  Result.unionIn(R2);
   return Result;
+}
+
+void Relation::unionIn(const Relation &R2) {
+  if (R2.empty() && !R2.HaveCols)
+    return;
+  if (empty() && !HaveCols) {
+    *this = R2;
+    return;
+  }
+  for (const Tuple &T : R2.Tuples)
+    insert(T);
 }
 
 bool Relation::operator==(const Relation &Other) const {

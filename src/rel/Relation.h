@@ -77,6 +77,10 @@ public:
   /// r1 ∪ r2; columns must agree (or either side may be columnless-empty).
   static Relation unionWith(const Relation &R1, const Relation &R2);
 
+  /// r := r ∪ r2, in place: O(|r2|), where unionWith also copies r.
+  /// Same column rules as unionWith.
+  void unionIn(const Relation &R2);
+
   bool operator==(const Relation &Other) const;
   bool operator!=(const Relation &Other) const { return !(*this == Other); }
 

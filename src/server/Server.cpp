@@ -6,6 +6,7 @@
 
 #include "server/Server.h"
 
+#include <cassert>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -33,12 +34,21 @@ RelServer::~RelServer() { stop(); }
 // Snapshot codec
 //===----------------------------------------------------------------------===//
 
-std::vector<uint8_t> RelServer::encodeSnapshot(const Relation &R) {
+std::vector<uint8_t>
+RelServer::encodeSnapshot(const ConcurrentRelation::Snapshot &Snap) {
+  assert(Snap.valid() && "encodeSnapshot on an empty snapshot handle");
+  // Streams the pinned shards through the engine's own scan; building
+  // α (a Relation) first would cost a hash set of every tuple.
   wire::ByteWriter W;
-  std::vector<Tuple> Ts = R.tuples();
-  W.u32(static_cast<uint32_t>(Ts.size()));
-  for (const Tuple &T : Ts)
-    W.tuple(T);
+  W.u32(static_cast<uint32_t>(Snap.size()));
+  ColumnSet All = Snap.shard(0).catalog().allColumns();
+  [[maybe_unused]] size_t Rows = 0;
+  Snap.scanFrames(Tuple(), All, [&](const BindingFrame &F) {
+    W.tuple(F.toTuple(All));
+    ++Rows;
+    return true;
+  });
+  assert(Rows == Snap.size() && "snapshot size disagrees with its scan");
   return W.take();
 }
 
@@ -224,10 +234,12 @@ void RelServer::scheduleCheckpoint(
 }
 
 bool RelServer::runCheckpoint(CkptJob &Job, std::string *Err) {
+  std::vector<uint8_t> Body = encodeSnapshot(Job.Snap);
+  // Unpin before the writes and fsyncs: while the handle lives, the
+  // first write to each pinned shard pays a copy-on-write clone.
+  Job.Snap = ConcurrentRelation::Snapshot();
   std::string E;
-  bool Ok =
-      Log.checkpoint(Job.Ticket, encodeSnapshot(Job.Snap.toRelation()),
-                     Job.SnapEnd, &E);
+  bool Ok = Log.checkpoint(Job.Ticket, Body, Job.SnapEnd, &E);
   // Reset the pacing counter on BOTH outcomes: success starts the next
   // interval; failure backs off for another CheckpointEvery commits
   // instead of letting every subsequent commit re-queue a checkpoint
@@ -279,6 +291,7 @@ void RelServer::acceptLoop() {
       ::close(Fd);
       return;
     }
+    wire::setNoDelay(Fd);
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     std::lock_guard<std::mutex> Lock(ConnMu);

@@ -114,8 +114,10 @@ public:
     return CheckpointFailures.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot codec (shared with tests): `u32 count | count tuples`.
-  static std::vector<uint8_t> encodeSnapshot(const Relation &R);
+  /// Snapshot codec (shared with tests): `u32 count | count tuples`,
+  /// tuples in unspecified order. Encoding streams the pinned shards.
+  static std::vector<uint8_t>
+  encodeSnapshot(const ConcurrentRelation::Snapshot &Snap);
   static bool decodeSnapshot(const std::vector<uint8_t> &Bytes,
                              unsigned Arity, std::vector<Tuple> &Tuples);
 
@@ -170,8 +172,9 @@ private:
   /// job is executed by the checkpoint thread. \p Done always fires —
   /// success, checkpoint failure, and shutdown-drain alike.
   void scheduleCheckpoint(std::function<void(bool, const std::string &)> Done);
-  /// Serializes + persists one job; updates SinceCkpt and the failure
-  /// counter/backoff. Returns success and fills \p Err on failure.
+  /// Serializes + persists one job, releasing Job.Snap between the
+  /// two; updates SinceCkpt and the failure counter/backoff. Returns
+  /// success and fills \p Err on failure.
   bool runCheckpoint(CkptJob &Job, std::string *Err);
   void ckptLoop();
 

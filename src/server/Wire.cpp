@@ -12,6 +12,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace relc {
@@ -70,9 +71,13 @@ int connectTcp(uint16_t Port, std::string *Err) {
     ::close(Fd);
     return -1;
   }
+  setNoDelay(Fd);
+  return Fd;
+}
+
+void setNoDelay(int Fd) {
   int One = 1;
   ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  return Fd;
 }
 
 bool readFull(int Fd, void *Buf, size_t N) {
@@ -128,9 +133,35 @@ bool writeFrame(int Fd, const uint8_t *Body, size_t N) {
   uint8_t Prefix[4];
   for (int I = 0; I != 4; ++I)
     Prefix[I] = static_cast<uint8_t>(N >> (8 * I));
-  // Two writes are fine: the reader reassembles by length prefix and
-  // writers on one fd serialize under the connection's write mutex.
-  return writeFull(Fd, Prefix, 4) && writeFull(Fd, Body, N);
+  // Prefix and body leave in one sendmsg. As two sends, the body of a
+  // small frame would sit behind Nagle until the peer's delayed ACK of
+  // the prefix arrived (~40 ms per round trip on Linux loopback).
+  iovec Iov[2] = {{Prefix, 4}, {const_cast<uint8_t *>(Body), N}};
+  msghdr Msg{};
+  Msg.msg_iov = Iov;
+  Msg.msg_iovlen = 2;
+  while (Msg.msg_iovlen != 0) {
+    // MSG_NOSIGNAL: see writeFull.
+    ssize_t R = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+    if (R < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    // Partial write: skip the iovecs sent whole, trim the one cut.
+    size_t Sent = static_cast<size_t>(R);
+    while (Msg.msg_iovlen != 0 && Sent >= Msg.msg_iov->iov_len) {
+      Sent -= Msg.msg_iov->iov_len;
+      ++Msg.msg_iov;
+      --Msg.msg_iovlen;
+    }
+    if (Msg.msg_iovlen != 0) {
+      Msg.msg_iov->iov_base =
+          static_cast<uint8_t *>(Msg.msg_iov->iov_base) + Sent;
+      Msg.msg_iov->iov_len -= Sent;
+    }
+  }
+  return true;
 }
 
 } // namespace wire

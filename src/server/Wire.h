@@ -438,7 +438,12 @@ int listenTcp(uint16_t Port, std::string *Err);
 uint16_t boundPort(int Fd);
 
 /// Connects to 127.0.0.1:\p Port. Returns the fd, or -1 with \p Err.
+/// The socket has TCP_NODELAY set.
 int connectTcp(uint16_t Port, std::string *Err);
+
+/// Sets TCP_NODELAY on \p Fd. Both ends of a connection need it: a
+/// request/reply protocol with small frames otherwise waits on Nagle.
+void setNoDelay(int Fd);
 
 /// Reads exactly \p N bytes; false on EOF or error.
 bool readFull(int Fd, void *Buf, size_t N);
@@ -451,7 +456,8 @@ bool writeFull(int Fd, const void *Buf, size_t N);
 /// caller must close the connection in every false case.
 bool readFrame(int Fd, std::vector<uint8_t> &Body);
 
-/// Writes `u32 len | body`.
+/// Writes `u32 len | body` with one sendmsg (looping on partial
+/// writes; SIGPIPE-safe). False on error or an oversized body.
 bool writeFrame(int Fd, const uint8_t *Body, size_t N);
 inline bool writeFrame(int Fd, const std::vector<uint8_t> &Body) {
   return writeFrame(Fd, Body.data(), Body.size());

@@ -239,6 +239,26 @@ TEST_F(RelationTest, UnionWith) {
   EXPECT_EQ(U.size(), 2u);
 }
 
+TEST_F(RelationTest, UnionInAccumulatesInPlace) {
+  Relation B;
+  B.insert(proc(1, 1, 0, 7));
+  B.insert(proc(2, 2, 1, 3));
+  // A columnless-empty accumulator takes the other side's columns.
+  Relation Acc;
+  Acc.unionIn(B);
+  EXPECT_EQ(Acc, B);
+  EXPECT_EQ(Acc.columns(), B.columns());
+  // A columnless-empty right side is a no-op.
+  Acc.unionIn(Relation());
+  EXPECT_EQ(Acc, B);
+  Relation C;
+  C.insert(proc(2, 2, 1, 3));
+  C.insert(proc(3, 1, 0, 1));
+  Acc.unionIn(C);
+  EXPECT_EQ(Acc.size(), 3u);
+  EXPECT_EQ(Acc, Relation::unionWith(B, C));
+}
+
 TEST_F(RelationTest, EqualityIsSetEquality) {
   Relation A = paperExample();
   Relation B;

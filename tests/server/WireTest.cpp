@@ -23,8 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
+#include <sys/socket.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace relc;
 
@@ -199,6 +203,37 @@ TEST(WireCodec, ReaderRejectsJunk) {
   }
 }
 
+/// writeFrame sends prefix and body in one sendmsg and loops over
+/// partial writes: a MaxBody frame (larger than a socket buffer)
+/// arrives whole, an empty frame arrives empty, and the frames stay
+/// delimited.
+TEST(WireFrames, LargeAndEmptyFramesArriveWhole) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::vector<uint8_t> Big(wire::MaxBody);
+  for (size_t I = 0; I != Big.size(); ++I)
+    Big[I] = static_cast<uint8_t>(I * 131 + (I >> 9));
+  std::vector<uint8_t> GotBig, GotEmpty, GotTail;
+  std::thread Reader([&] {
+    EXPECT_TRUE(wire::readFrame(Fds[1], GotBig));
+    EXPECT_TRUE(wire::readFrame(Fds[1], GotEmpty));
+    EXPECT_TRUE(wire::readFrame(Fds[1], GotTail));
+  });
+  EXPECT_TRUE(wire::writeFrame(Fds[0], Big));
+  EXPECT_TRUE(wire::writeFrame(Fds[0], std::vector<uint8_t>()));
+  EXPECT_TRUE(wire::writeFrame(Fds[0], std::vector<uint8_t>{7, 8, 9}));
+  Reader.join();
+  EXPECT_TRUE(GotBig == Big);
+  EXPECT_TRUE(GotEmpty.empty());
+  EXPECT_EQ(GotTail, (std::vector<uint8_t>{7, 8, 9}));
+  std::vector<uint8_t> TooBig(wire::MaxBody + 1);
+  EXPECT_FALSE(wire::writeFrame(Fds[0], TooBig));
+  ::close(Fds[0]);
+  EXPECT_FALSE(wire::writeFrame(Fds[1], Big)) << "peer closed: error, not "
+                                                 "SIGPIPE";
+  ::close(Fds[1]);
+}
+
 //===----------------------------------------------------------------------===//
 // Live-server protocol tests
 //===----------------------------------------------------------------------===//
@@ -264,6 +299,22 @@ TEST_F(WireServerTest, BasicOpsRoundTrip) {
   EXPECT_TRUE(R.ok());
   ASSERT_TRUE(Cli.size(N));
   EXPECT_EQ(N, 1u);
+}
+
+/// Back-to-back synchronous round trips must run at loopback speed.
+/// With Nagle on either end, a reply whose prefix and body left in
+/// separate sends waited ~40 ms for the peer's delayed ACK: 200 pings
+/// took ~8.8 s.
+TEST_F(WireServerTest, BackToBackPingsDoNotStallOnNagle) {
+  RelClient Cli;
+  std::string Err;
+  ASSERT_TRUE(Cli.connect(Server->port(), &Err)) << Err;
+  auto T0 = std::chrono::steady_clock::now();
+  for (int I = 0; I != 200; ++I)
+    ASSERT_TRUE(Cli.ping()) << I;
+  auto Elapsed = std::chrono::steady_clock::now() - T0;
+  EXPECT_LT(Elapsed, std::chrono::seconds(2))
+      << std::chrono::duration<double>(Elapsed).count() << " s for 200 pings";
 }
 
 TEST_F(WireServerTest, StatsReportsCommitsAndArenaOccupancy) {

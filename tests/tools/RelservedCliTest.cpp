@@ -14,14 +14,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include <gtest/gtest.h>
-
-#include <sys/wait.h>
+#include "RunTool.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 namespace {
@@ -30,22 +26,10 @@ namespace {
 #error "RELSERVED_PATH must be defined by the build"
 #endif
 
-std::string uniquePath(const std::string &Suffix) {
-  const auto *Info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "relserved_" + Info->name() + "_" + Suffix;
-}
+using relctest::uniquePath;
 
-/// Runs relserved with \p Args (under a timeout), returning (exit
-/// status, combined output).
 std::pair<int, std::string> relserved(const std::string &Args) {
-  std::string Out = uniquePath("out.txt");
-  int Rc = std::system(("timeout 20 " + std::string(RELSERVED_PATH) + " " +
-                        Args + " > " + Out + " 2>&1")
-                           .c_str());
-  std::ifstream In(Out);
-  std::stringstream Ss;
-  Ss << In.rdbuf();
-  return {WIFEXITED(Rc) ? WEXITSTATUS(Rc) : -1, Ss.str()};
+  return relctest::runTool(RELSERVED_PATH, Args);
 }
 
 TEST(RelservedCliTest, HelpPrintsUsageAndExitsZero) {

@@ -39,6 +39,7 @@
 #include "concurrent/Epoch.h"
 #include "decomp/Adequacy.h"
 #include "decomp/Printer.h"
+#include "support/ParseInt.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -93,10 +94,8 @@ int main(int argc, char **argv) {
       // — a fan-out write fences one epoch gate per shard. Parse
       // strictly: "four" or "4x" must not silently become a
       // facade-stripping 0 (or a truncated 4).
-      const char *Arg = argv[++I];
-      char *End = nullptr;
-      long V = std::strtol(Arg, &End, 10);
-      if (End == Arg || *End != '\0' || V < 0 || V > long(MaxShards)) {
+      int64_t V = 0;
+      if (!parseInt(argv[++I], 0, MaxShards, V)) {
         std::fprintf(stderr,
                      "relc: error: --shards must be an integer in "
                      "[0, %u] (0 disables the facade)\n",

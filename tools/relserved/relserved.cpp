@@ -46,9 +46,9 @@
 #include "decomp/Builder.h"
 #include "server/Client.h"
 #include "server/Server.h"
+#include "support/ParseInt.h"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -125,16 +125,12 @@ public:
         return false;
       }
       const char *V = argv[++I];
-      if (F->K == FlagSpec::Int) {
-        char *End = nullptr;
-        errno = 0;
-        long long N = std::strtoll(V, &End, 10);
-        if (!*V || *End || errno == ERANGE || N < F->Min || N > F->Max) {
-          Err = std::string(F->Name) + " needs an integer in [" +
-                std::to_string(F->Min) + ", " + std::to_string(F->Max) +
-                "], got '" + V + "'";
-          return false;
-        }
+      int64_t N = 0;
+      if (F->K == FlagSpec::Int && !parseInt(V, F->Min, F->Max, N)) {
+        Err = std::string(F->Name) + " needs an integer in [" +
+              std::to_string(F->Min) + ", " + std::to_string(F->Max) +
+              "], got '" + V + "'";
+        return false;
       }
       Values[F->Name] = V;
     }
