@@ -5,24 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timing, time-limit, argument-parsing and JSON-reporting
-/// helpers shared by the figure/table reproduction benches.
+/// Wall-clock timing, time-limit and JSON-reporting helpers shared by
+/// the figure/table reproduction benches, which parse their arguments
+/// with support/CliArgs.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RELC_BENCH_BENCHCOMMON_H
 #define RELC_BENCH_BENCHCOMMON_H
 
-#include "support/ParseInt.h"
+#include "support/CliArgs.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace relcbench {
@@ -65,98 +63,10 @@ inline std::string formatSeconds(double S) {
   return Buf;
 }
 
-/// True if \p Flag appears among the arguments.
-inline bool hasArg(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-/// The value following \p Flag ("--json out.json"), or nullptr when
-/// the flag is absent, last, or followed by another "--" flag (a
-/// missing value must not silently swallow the next option — callers
-/// pair this with hasArg to reject the malformed invocation loudly).
-inline const char *argValue(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return std::strncmp(Argv[I + 1], "--", 2) == 0 ? nullptr : Argv[I + 1];
-  return nullptr;
-}
-
-/// The value of "--flag N", a whole decimal integer in [\p Min, \p Max],
-/// or \p Default when the flag is absent. A missing, malformed ("4x")
-/// or out-of-range value prints why and exits 2.
-inline int64_t intFlag(int Argc, char **Argv, const char *Flag,
-                       int64_t Default, int64_t Min, int64_t Max) {
-  if (!hasArg(Argc, Argv, Flag))
-    return Default;
-  const char *V = argValue(Argc, Argv, Flag);
-  int64_t N = 0;
-  if (!relc::parseInt(V, Min, Max, N)) {
-    std::fprintf(stderr, "%s: %s needs an integer in [%lld, %lld], got '%s'\n",
-                 Argv[0], Flag, static_cast<long long>(Min),
-                 static_cast<long long>(Max), V ? V : "");
-    std::exit(2);
-  }
-  return N;
-}
-
-/// Strict positional arguments of a figure/table driver that takes at
-/// most \p MaxArgs of them, all numeric. --help prints \p Usage and
-/// exits 0; a surplus argument, a flag (a "--quick" is not a size), a
-/// malformed number or one out of range prints it and exits 2.
-class PositionalArgs {
-public:
-  PositionalArgs(int Argc, char **Argv, int MaxArgs, const char *Usage)
-      : Argc(Argc), Argv(Argv), Usage(Usage) {
-    for (int I = 1; I < Argc; ++I)
-      if (std::strcmp(Argv[I], "--help") == 0) {
-        std::fputs(Usage, stdout);
-        std::exit(0);
-      }
-    if (Argc - 1 > MaxArgs)
-      fail("unexpected argument '" + std::string(Argv[MaxArgs + 1]) + "'");
-  }
-
-  /// Argument \p I (1-based) in [\p Min, \p Max], or \p Default when
-  /// absent. Integral \p T takes only whole decimal numbers.
-  template <typename T> T get(int I, T Default, T Min, T Max) const {
-    if (I >= Argc)
-      return Default;
-    const char *V = Argv[I];
-    if constexpr (std::is_integral_v<T>) {
-      int64_t N = 0;
-      if (relc::parseInt(V, int64_t(Min), int64_t(Max), N))
-        return static_cast<T>(N);
-    } else {
-      char *End = nullptr;
-      errno = 0;
-      double D = std::strtod(V, &End);
-      if (*V && !*End && errno != ERANGE && D >= double(Min) &&
-          D <= double(Max))
-        return static_cast<T>(D);
-    }
-    fail("argument " + std::to_string(I) + " must be a number in [" +
-         show(Min) + ", " + show(Max) + "], got '" + V + "'");
-  }
-
-private:
-  template <typename T> static std::string show(T V) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%g", double(V));
-    return std::is_integral_v<T> ? std::to_string(V) : Buf;
-  }
-
-  [[noreturn]] void fail(const std::string &Why) const {
-    std::fprintf(stderr, "%s: %s\n%s", Argv[0], Why.c_str(), Usage);
-    std::exit(2);
-  }
-
-  int Argc;
-  char **Argv;
-  const char *Usage;
-};
+using relc::argValue;
+using relc::hasArg;
+using relc::intFlag;
+using relc::PositionalArgs;
 
 /// One measured benchmark series: a name plus named numeric metrics.
 /// Metrics are kept in insertion order so reports are diffable.

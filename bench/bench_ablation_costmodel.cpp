@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 using namespace relc;
@@ -229,7 +228,9 @@ void crossDecompositionAblation(size_t NumRows) {
 } // namespace
 
 int main(int argc, char **argv) {
-  size_t NumRows = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 4000;
+  PositionalArgs Args(argc, argv, 1,
+                      "usage: bench_ablation_costmodel [rows]\n");
+  size_t NumRows = Args.get<size_t>(1, 4000, 1, 10000000);
 
   {
     RelSpecRef Spec = RelSpec::make("scheduler", {"ns", "pid", "state", "cpu"},

@@ -27,12 +27,11 @@
 #include "concurrent/ConcurrentRelation.h"
 
 #include "decomp/Builder.h"
+#include "support/CliArgs.h"
 #include "workloads/Rng.h"
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -56,22 +55,15 @@ Decomposition accountDecomp(const RelSpecRef &Spec) {
   return B.build();
 }
 
-int64_t intArg(int argc, char **argv, const char *Flag, int64_t Default) {
-  for (int I = 1; I + 1 < argc; ++I)
-    if (std::strcmp(argv[I], Flag) == 0)
-      return std::atoll(argv[I + 1]);
-  return Default;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  const int64_t Threads = intArg(argc, argv, "--threads", 4);
-  const int64_t Accounts = intArg(argc, argv, "--accounts", 64);
-  const int64_t Transfers = intArg(argc, argv, "--transfers", 20000);
-  bool ShowPlan = false;
-  for (int I = 1; I < argc; ++I)
-    ShowPlan |= std::strcmp(argv[I], "--plan") == 0;
+  const int64_t Threads = intFlag(argc, argv, "--threads", 4, 1, 256);
+  const int64_t Accounts =
+      intFlag(argc, argv, "--accounts", 64, 2, 10000000);
+  const int64_t Transfers =
+      intFlag(argc, argv, "--transfers", 20000, 0, 1000000000);
+  const bool ShowPlan = hasArg(argc, argv, "--plan");
   const int64_t Initial = 1000;
 
   RelSpecRef Spec = accountSpec();

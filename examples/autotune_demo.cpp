@@ -16,27 +16,28 @@
 #include "autotuner/Autotuner.h"
 #include "decomp/Printer.h"
 #include "runtime/SynthesizedRelation.h"
+#include "support/CliArgs.h"
 #include "workloads/RoadNetwork.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace relc;
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 2,
+                      "usage: autotune_demo [max-edges] [grid-width]\n");
   RelSpecRef Spec = RelSpec::make("edges", {"src", "dst", "weight"},
                                   {{"src, dst", "weight"}});
   const Catalog &Cat = Spec->catalog();
 
   AutotunerOptions Opts;
-  Opts.Enumerate.MaxEdges =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 3;
+  Opts.Enumerate.MaxEdges = Args.get(1, 3u, 1u, 64u);
   Opts.DsPalette = {DsKind::HashTable, DsKind::Btree};
   Opts.CostLimit = 2.0; // seconds; slower candidates count as timeouts
 
   RoadNetworkOptions Net;
-  Net.Width = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 48;
+  Net.Width = Args.get(2, 48u, 1u, 4096u);
   Net.Height = Net.Width;
   std::vector<RoadEdge> Edges = generateRoadNetwork(Net);
   std::printf("workload: build %zu edges, enumerate successors of every "

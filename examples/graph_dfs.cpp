@@ -14,12 +14,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/CliArgs.h"
 #include "systems/GraphRelational.h"
 #include "workloads/RoadNetwork.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace relc;
 
@@ -54,8 +54,9 @@ void runVariant(const char *Name, Decomposition D,
 } // namespace
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 1, "usage: graph_dfs [grid-width]\n");
   RoadNetworkOptions Opts;
-  Opts.Width = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 96;
+  Opts.Width = Args.get(1, 96u, 1u, 4096u);
   Opts.Height = Opts.Width;
   std::vector<RoadEdge> Edges = generateRoadNetwork(Opts);
   std::printf("synthetic road network: %llu nodes, %zu edges\n",

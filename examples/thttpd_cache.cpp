@@ -14,20 +14,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/CliArgs.h"
 #include "systems/ThttpdRelational.h"
 #include "workloads/MmapTrace.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 
 using namespace relc;
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 1, "usage: thttpd_cache [num-requests]\n");
   MmapTraceOptions Opts;
-  Opts.NumRequests =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 200000;
+  Opts.NumRequests = Args.get<size_t>(1, 200000, 1, 100000000);
   std::vector<MmapRequest> Trace = generateMmapTrace(Opts);
   std::printf("replaying %zu requests over %u files (zipf %.2f)\n",
               Trace.size(), Opts.NumFiles, Opts.ZipfSkew);

@@ -15,19 +15,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/CliArgs.h"
 #include "systems/ZtopoRelational.h"
 #include "workloads/TileTrace.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace relc;
 
 int main(int argc, char **argv) {
+  PositionalArgs Args(argc, argv, 1, "usage: ztopo_cache [num-requests]\n");
   TileTraceOptions Opts;
-  Opts.NumRequests =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 200000;
+  Opts.NumRequests = Args.get<size_t>(1, 200000, 1, 100000000);
   std::vector<TileRequest> Trace = generateTileTrace(Opts);
   std::printf("replaying %zu tile requests (pan probability %.2f)\n",
               Trace.size(), Opts.PanProbability);

@@ -238,30 +238,6 @@ private:
     return S;
   }
 
-  /// The incoming edge of \p Id with the cheapest point lookup (the
-  /// existence probe in the generated insert).
-  EdgeId cheapestIncomingEdge(NodeId Id) const {
-    auto Rank = [](DsKind K) {
-      switch (K) {
-      case DsKind::Vector:
-      case DsKind::HashTable:
-        return 0;
-      case DsKind::Btree:
-      case DsKind::ITree:
-        return 1;
-      case DsKind::DList:
-      case DsKind::IList:
-        return 2;
-      }
-      return 3;
-    };
-    EdgeId Best = D.incoming(Id).front();
-    for (EdgeId E : D.incoming(Id))
-      if (Rank(D.edge(E).Ds) < Rank(D.edge(Best).Ds))
-        Best = E;
-    return Best;
-  }
-
   //===------------------------------------------------------------------===
   // Skeleton.
   //===------------------------------------------------------------------===
@@ -495,7 +471,7 @@ private:
       // (well-formedness keeps all incoming containers in lockstep; a
       // fresh parent's empty container gives the same verdict — see
       // dinsert in runtime/Mutators.cpp).
-      EdgeId ProbeE = cheapestIncomingEdge(Id);
+      EdgeId ProbeE = D.cheapestIncoming(Id);
       const MapEdge &Probe = D.edge(ProbeE);
       W.line(nodeType(Id) + " *" + Var + " = n_" +
              D.node(Probe.From).Name + "->" + edgeMember(ProbeE) +
@@ -753,9 +729,23 @@ private:
       W.line("assert(" + Var + " && \"X instance missing\");");
     }
 
-    // 3. Break the crossing edges; the first break per Y node resolves
-    //    the child, later breaks reuse it (eraseNode when intrusive).
+    // 3. Break the crossing edges. Y nodes whose first crossing edge is
+    //    an intrusive list are found up front through their Y parents
+    //    (the cut's RemoveResolve, as in dremove); otherwise the first
+    //    break per Y node resolves the child. Breaks into a known child
+    //    use eraseNode when intrusive (Section 6.1).
     std::map<NodeId, bool> YResolved;
+    auto instVar = [&](NodeId Id) {
+      return (C.inY(Id) ? "y_" : "x_") + D.node(Id).Name;
+    };
+    for (EdgeId Eg : C.RemoveResolve) {
+      const MapEdge &Edge = D.edge(Eg);
+      std::string Child = instVar(Edge.To);
+      W.line(nodeType(Edge.To) + " *" + Child + " = " + instVar(Edge.From) +
+             "->" + edgeMember(Eg) + ".lookup(" + keyExpr(Edge, Full) + ");");
+      W.line("assert(" + Child + " && \"Y instance missing\");");
+      YResolved[Edge.To] = true;
+    }
     for (EdgeId Eg : C.CrossingEdges) {
       const MapEdge &Edge = D.edge(Eg);
       std::string Child = "y_" + D.node(Edge.To).Name;

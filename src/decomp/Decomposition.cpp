@@ -21,6 +21,15 @@ std::vector<NodeId> Decomposition::topoOrder() const {
   return Order;
 }
 
+EdgeId Decomposition::cheapestIncoming(NodeId Id) const {
+  assert(!Incoming[Id].empty() && "the root has no incoming edge");
+  EdgeId Best = Incoming[Id].front();
+  for (EdgeId E : Incoming[Id])
+    if (dsProbeRank(Edges[E].Ds) < dsProbeRank(Edges[Best].Ds))
+      Best = E;
+  return Best;
+}
+
 NodeId Decomposition::nodeByName(std::string_view Name) const {
   for (NodeId Id = 0; Id != numNodes(); ++Id)
     if (Nodes[Id].Name == Name)

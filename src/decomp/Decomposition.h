@@ -113,6 +113,9 @@ public:
   const std::vector<EdgeId> &incoming(NodeId Id) const {
     return Incoming[Id];
   }
+  /// The incoming edge of non-root node \p Id with the cheapest point
+  /// lookup (dsProbeRank; the first such edge on ties).
+  EdgeId cheapestIncoming(NodeId Id) const;
 
   /// Unit PrimIds appearing in node \p Id's primitive, in tree order.
   const std::vector<PrimId> &unitsOf(NodeId Id) const { return Units[Id]; }

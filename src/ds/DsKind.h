@@ -92,6 +92,24 @@ inline bool dsSupportsEraseByNode(DsKind K) {
   return K == DsKind::IList || K == DsKind::ITree;
 }
 
+/// Relative cost of one point lookup, for choosing among containers
+/// that reach the same node: 0 dense/hashed, 1 ordered, 2 linear.
+inline int dsProbeRank(DsKind K) {
+  switch (K) {
+  case DsKind::Vector:
+  case DsKind::HashTable:
+    return 0;
+  case DsKind::Btree:
+  case DsKind::ITree:
+    return 1;
+  case DsKind::DList:
+  case DsKind::IList:
+    return 2;
+  }
+  assert(false && "unknown DsKind");
+  return 3;
+}
+
 /// True if ψ requires keys to be single non-negative machine integers.
 inline bool dsRequiresDenseIntKey(DsKind K) { return K == DsKind::Vector; }
 

@@ -107,11 +107,16 @@ public:
 
   /// Materializes the projection onto \p C; requires C ⊆ bound().
   Tuple toTuple(ColumnSet C) const {
-    assert(C.subsetOf(Mask) && "projection of unbound frame columns");
     Tuple T;
-    for (ColumnId Id : C)
-      T.set(Id, Regs[Id]);
+    toTuple(C, T);
     return T;
+  }
+
+  /// As above, refilling \p Out in place: a caller reusing one tuple
+  /// per row (SynthesizedRelation::scan) allocates at most once.
+  void toTuple(ColumnSet C, Tuple &Out) const {
+    assert(C.subsetOf(Mask) && "projection of unbound frame columns");
+    Out.assignDense(C, Regs.begin());
   }
 
 private:

@@ -28,6 +28,14 @@ void Tuple::unset(ColumnId Id) {
   Cols.erase(Id);
 }
 
+void Tuple::assignDense(ColumnSet C, const Value *Regs) {
+  Cols = C;
+  Vals.resize(C.size());
+  unsigned Idx = 0;
+  for (ColumnId Id : C)
+    Vals[Idx++] = Regs[Id];
+}
+
 bool Tuple::extends(const Tuple &S) const {
   if (!S.Cols.subsetOf(Cols))
     return false;

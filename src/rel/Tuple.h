@@ -72,6 +72,12 @@ public:
   /// Drops column \p Id if bound.
   void unset(ColumnId Id);
 
+  /// Rebinds this tuple to exactly the columns \p C, column Id taking
+  /// \p Regs[Id] (a dense register file indexed by ColumnId, as in
+  /// BindingFrame). Reuses the value storage: refilling a tuple with a
+  /// row no wider than one it held before never allocates.
+  void assignDense(ColumnSet C, const Value *Regs);
+
   /// True if this tuple extends \p S (written t ⊇ s): every column of
   /// \p S is bound here with an equal value.
   bool extends(const Tuple &S) const;

@@ -30,6 +30,21 @@ struct Cut {
   std::vector<bool> InY; ///< Indexed by NodeId.
   std::vector<EdgeId> CrossingEdges; ///< Edges with From ∈ X, To ∈ Y.
 
+  /// Edges that find the below-cut instances along one represented
+  /// tuple before any crossing edge is broken, parents first: each step
+  /// looks Edge.To up in its parent's container. A node with a Y parent
+  /// is found through it — every tuple below a Y instance matches the
+  /// pattern, so for a key pattern that container holds a handful of
+  /// entries — and a node without one through its cheapest incoming
+  /// edge. UpdateResolve covers every Y node (dupdate reuses them all).
+  /// RemoveResolve covers only the Y nodes whose first crossing break
+  /// would otherwise search an intrusive list for the key, plus the Y
+  /// ancestors they are found through; dremove then unlinks them with
+  /// eraseNode (Section 6.1). It is empty for hash-first shapes, whose
+  /// removal keeps resolving each child by its first crossing erase.
+  std::vector<EdgeId> UpdateResolve;
+  std::vector<EdgeId> RemoveResolve;
+
   bool inY(NodeId Id) const { return InY[Id]; }
   bool crossing(const MapEdge &E) const { return !InY[E.From] && InY[E.To]; }
 };

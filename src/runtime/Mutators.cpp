@@ -68,6 +68,25 @@ void navigateX(InstanceGraph &G, const Tuple &T, const Cut &C,
   }
 }
 
+/// Finds the below-cut instances along full tuple \p T through \p Steps
+/// (one of the cut's resolution lists, parents first) into \p YInst.
+/// A step whose parent is unresolved or whose entry is gone leaves its
+/// node null: in dremove, an earlier match may have severed that part
+/// of T's path already.
+void resolveY(const Decomposition &D, const Tuple &T, const Cut &C,
+              const std::vector<EdgeId> &Steps,
+              const std::vector<NodeInstance *> &Inst,
+              std::vector<NodeInstance *> &YInst) {
+  YInst.assign(D.numNodes(), nullptr);
+  for (EdgeId E : Steps) {
+    const MapEdge &Edge = D.edge(E);
+    NodeInstance *P = C.inY(Edge.From) ? YInst[Edge.From] : Inst[Edge.From];
+    if (P)
+      YInst[Edge.To] =
+          P->edgeMap(Edge.OrdinalInFrom).lookup(TupleView(T, Edge.KeyCols));
+  }
+}
+
 /// After breaking a tuple's crossing edges, interior X instances may be
 /// left representing the empty relation ("devoid of children"); unlink
 /// and release them, cascading upward (children come before parents in
@@ -106,18 +125,26 @@ void removeTuple(InstanceGraph &G, const Tuple &T, const Cut &C,
   const Decomposition &D = G.decomp();
   navigateX(G, T, C, /*AllowMissing=*/true, Scratch.Inst);
 
-  // Break every crossing edge. The first break per Y node resolves the
-  // child by key; later breaks into the same child use the intrusive
-  // fast path (no search) when ψ supports it — this is the payoff of
-  // sharing with intrusive containers (Section 6.1).
+  // Break every crossing edge. A Y node is known before its first
+  // break when the cut resolves it up front: its first crossing edge is
+  // an intrusive list, so it is found through its Y parent instead (for
+  // ztopo's remove-by-tile: x→y hash, then y→w over a tile's states).
+  // Otherwise the first break per Y node resolves the child by key.
+  // Every break into a known child uses the intrusive fast path (no
+  // search) when ψ supports it — this is the payoff of sharing with
+  // intrusive containers (Section 6.1): "find node w using either path
+  // and remove it from both paths without any additional lookups".
   //
   // A crossing edge may already be broken: one X-side entry (say the
   // root's ns-map entry for a remove-by-ns) covers *all* matching
   // tuples, and an earlier iteration of the per-tuple loop in dremove
   // severed it — releasing the subtree below, so the entry (and
   // possibly the child) is gone. Skipping is sound because the set of
-  // matches was collected before any mutation.
-  Scratch.YInst.assign(D.numNodes(), nullptr);
+  // matches was collected before any mutation. A child resolved up
+  // front stays live until its own last crossing entry is broken: had
+  // an earlier match severed that entry, it would have severed the
+  // child's Y ancestors' too, and the lookup would have found nothing.
+  resolveY(D, T, C, C.RemoveResolve, Scratch.Inst, Scratch.YInst);
   for (EdgeId E : C.CrossingEdges) {
     const MapEdge &Edge = D.edge(E);
     if (!Scratch.Inst[Edge.From])
@@ -134,34 +161,6 @@ void removeTuple(InstanceGraph &G, const Tuple &T, const Cut &C,
   }
 
   cleanupEmptyX(G, T, C, Scratch.Inst);
-}
-
-} // namespace
-
-namespace {
-
-/// The incoming edge of \p Id with the cheapest point lookup (hash and
-/// vector over trees over lists). Used as the existence probe below.
-EdgeId cheapestIncoming(const Decomposition &D, NodeId Id) {
-  EdgeId Best = D.incoming(Id).front();
-  auto Rank = [](DsKind K) {
-    switch (K) {
-    case DsKind::Vector:
-    case DsKind::HashTable:
-      return 0;
-    case DsKind::Btree:
-    case DsKind::ITree:
-      return 1;
-    case DsKind::DList:
-    case DsKind::IList:
-      return 2;
-    }
-    return 3;
-  };
-  for (EdgeId E : D.incoming(Id))
-    if (Rank(D.edge(E).Ds) < Rank(D.edge(Best).Ds))
-      Best = E;
-  return Best;
 }
 
 } // namespace
@@ -187,7 +186,7 @@ bool relc::dinsert(InstanceGraph &G, const Tuple &T, MutatorScratch &Scratch) {
     // freshly created parent has an empty container — which is also a
     // correct verdict, since an existing child implies all its parents
     // existed before this insert. Probe the cheapest edge.
-    EdgeId ProbeE = cheapestIncoming(D, Id);
+    EdgeId ProbeE = D.cheapestIncoming(Id);
     const MapEdge &Probe = D.edge(ProbeE);
     assert(Inst[Probe.From] && "parent instance missing in topo insert");
     NodeInstance *N = Inst[Probe.From]
@@ -302,21 +301,11 @@ size_t relc::dupdate(InstanceGraph &G, const Tuple &Pattern,
   // Resolve the (unique, since the pattern is a key) Y instance of
   // every below-cut node along TOld.
   std::vector<NodeInstance *> &YInst = Scratch.YInst;
-  YInst.assign(D.numNodes(), nullptr);
-  for (NodeId Id : D.topo()) {
-    if (!C.inY(Id))
-      continue;
-    for (EdgeId E : D.incoming(Id)) {
-      const MapEdge &Edge = D.edge(E);
-      NodeInstance *P = C.inY(Edge.From) ? YInst[Edge.From] : Inst[Edge.From];
-      assert(P && "parent instance missing for a represented tuple");
-      NodeInstance *Child = P->edgeMap(Edge.OrdinalInFrom)
-                                .lookup(TupleView(TOld, Edge.KeyCols));
-      assert(Child && "Y instance missing for a represented tuple");
-      YInst[Id] = Child;
-      break;
-    }
-  }
+  resolveY(D, TOld, C, C.UpdateResolve, Inst, YInst);
+#ifndef NDEBUG
+  for (EdgeId E : C.UpdateResolve)
+    assert(YInst[D.edge(E).To] && "Y instance missing for a represented tuple");
+#endif
 
   // Detach: unlink the below-cut subgraph from its X parents without
   // releasing references — the same instances are reattached below
@@ -377,7 +366,7 @@ size_t relc::dupdate(InstanceGraph &G, const Tuple &Pattern,
       NewInst[Id] = G.root();
       continue;
     }
-    EdgeId ProbeE = cheapestIncoming(D, Id);
+    EdgeId ProbeE = D.cheapestIncoming(Id);
     const MapEdge &Probe = D.edge(ProbeE);
     NodeInstance *N = NewInst[Probe.From]
                           ->edgeMap(Probe.OrdinalInFrom)

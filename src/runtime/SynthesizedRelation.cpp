@@ -256,8 +256,11 @@ std::vector<Tuple> SynthesizedRelation::query(const Tuple &Pattern,
 
 void SynthesizedRelation::scan(const Tuple &Pattern, ColumnSet OutputCols,
                                function_ref<bool(const Tuple &)> Fn) const {
+  // One row tuple per scan, refilled from the frame for each result.
+  Tuple Row;
   scanFrames(Pattern, OutputCols, [&](const BindingFrame &F) {
-    return Fn(F.toTuple(F.bound()));
+    F.toTuple(F.bound(), Row);
+    return Fn(Row);
   });
 }
 

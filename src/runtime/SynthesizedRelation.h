@@ -120,7 +120,8 @@ public:
   /// Streaming query: calls \p Fn per matching tuple with a binding of
   /// at least OutputCols ∪ pattern columns; \p Fn returns false to stop.
   /// Constant space, no deduplication (Section 4.1's iterator
-  /// semantics).
+  /// semantics). The row is one tuple refilled for every result: it is
+  /// valid only during the call, so copy it to keep it.
   void scan(const Tuple &Pattern, ColumnSet OutputCols,
             function_ref<bool(const Tuple &)> Fn) const;
 

@@ -8,7 +8,7 @@
 
 #include "decomp/Builder.h"
 
-#include <limits>
+#include <algorithm>
 
 using namespace relc;
 
@@ -96,30 +96,43 @@ std::vector<int64_t> ZtopoRelational::evictToBudget(TileState State,
                                                     int64_t Budget) {
   std::vector<int64_t> Evicted;
   int S = static_cast<int>(State);
-  while (StateBytes[S] > Budget) {
-    // Scan this state's list for the least-recently-stamped tile.
-    Tuple Pattern;
-    Pattern.set(ColState, Value::ofInt(static_cast<int64_t>(State)));
-    int64_t BestTile = -1;
-    int64_t BestStamp = std::numeric_limits<int64_t>::max();
-    int64_t BestSize = 0;
-    Rel.scan(Pattern, ColumnSet({ColTile, ColSize, ColStamp}),
-             [&](const Tuple &T) {
-               int64_t Stamp = T.get(ColStamp).asInt();
-               if (Stamp < BestStamp) {
-                 BestStamp = Stamp;
-                 BestTile = T.get(ColTile).asInt();
-                 BestSize = T.get(ColSize).asInt();
-               }
-               return true;
-             });
-    if (BestTile < 0)
-      break;
+  int64_t Excess = StateBytes[S] - Budget;
+  if (Excess <= 0)
+    return Evicted;
+  // One scan of this state's list keeps, in a max-heap on stamp, the
+  // least-recently-stamped tiles that cover the excess: a tile joins
+  // while the heap falls short or when it is older than the heap's
+  // newest, and the newest leave while the rest still cover. What is
+  // left is exactly what evicting the oldest tile one at a time takes.
+  std::vector<Victim> &Heap = EvictHeap;
+  Heap.clear();
+  int64_t Covered = 0;
+  Tuple Pattern;
+  Pattern.set(ColState, Value::ofInt(static_cast<int64_t>(State)));
+  Rel.scanFrames(Pattern, ColumnSet({ColTile, ColSize, ColStamp}),
+                 [&](const BindingFrame &F) {
+                   Victim V{F.get(ColStamp).asInt(), F.get(ColTile).asInt(),
+                            F.get(ColSize).asInt()};
+                   if (Covered >= Excess && !(V < Heap.front()))
+                     return true;
+                   Heap.push_back(V);
+                   std::push_heap(Heap.begin(), Heap.end());
+                   Covered += V.Size;
+                   while (Covered - Heap.front().Size >= Excess) {
+                     Covered -= Heap.front().Size;
+                     std::pop_heap(Heap.begin(), Heap.end());
+                     Heap.pop_back();
+                   }
+                   return true;
+                 });
+  // Oldest first, as the one-at-a-time loop would evict them.
+  std::sort_heap(Heap.begin(), Heap.end());
+  for (const Victim &V : Heap) {
     Tuple Key;
-    Key.set(ColTile, Value::ofInt(BestTile));
+    Key.set(ColTile, Value::ofInt(V.Tile));
     Rel.remove(Key);
-    StateBytes[S] -= BestSize;
-    Evicted.push_back(BestTile);
+    StateBytes[S] -= V.Size;
+    Evicted.push_back(V.Tile);
   }
   return Evicted;
 }

@@ -46,8 +46,16 @@ public:
   const SynthesizedRelation &relation() const { return Rel; }
 
 private:
+  /// An eviction candidate, ordered by stamp.
+  struct Victim {
+    int64_t Stamp, Tile, Size;
+    bool operator<(const Victim &O) const { return Stamp < O.Stamp; }
+  };
+
   SynthesizedRelation Rel;
   ColumnId ColTile, ColState, ColSize, ColStamp;
+  /// evictToBudget's max-heap, kept so calls reuse its storage.
+  std::vector<Victim> EvictHeap;
   int64_t StateBytes[3] = {0, 0, 0};
   int64_t Clock = 0;
 };

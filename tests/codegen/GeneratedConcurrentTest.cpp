@@ -14,6 +14,8 @@
 /// stay α-equivalent. Multi-writer stress runs the same generated code
 /// under real races (the CI TSan job includes this suite), and the
 /// `*_parallel` queries must yield the sequential fan-out's multiset.
+/// The sequential class emitted from ztopo_tiles.relc (no facade) runs
+/// its shared-node removal against a map oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +29,14 @@
 #include "sched_conc_ns_gen.h"
 #include "sched_conc_state_gen.h"
 #include "settle_tri_gen.h"
+#include "ztopo_tiles_gen.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -902,6 +907,48 @@ TEST(GeneratedConcurrentTest, SettleTriConservesTotalBalance) {
   int64_t Sum = 0;
   Ledger.all([&](int64_t, int64_t, int64_t Balance) { Sum += Balance; });
   EXPECT_EQ(Sum, Total);
+}
+
+TEST(GeneratedConcurrentTest, ZtopoTilesMatchesOracle) {
+  // The sequential class of ztopo_tiles.relc (no facade): its
+  // remove_by_tile finds the shared w through y and unlinks it from its
+  // state's intrusive list by node; update_by_tile is remove + insert.
+  genztopo::ztopo_tiles Gen;
+  std::map<int64_t, std::array<int64_t, 3>> Oracle; // tile -> state, size, stamp
+  Rng R(11);
+  for (int Step = 0; Step != 600; ++Step) {
+    int64_t Tile = R.range(0, 63);
+    std::array<int64_t, 3> Vals = {R.range(0, 2), R.range(1, 9), Step};
+    bool Present = Oracle.count(Tile) != 0;
+    switch (R.below(3)) {
+    case 0:
+      if (!Present) {
+        EXPECT_TRUE(Gen.insert(Tile, Vals[0], Vals[1], Vals[2]));
+        Oracle[Tile] = Vals;
+      }
+      break;
+    case 1:
+      EXPECT_EQ(Gen.remove_by_tile(Tile), Present);
+      Oracle.erase(Tile);
+      break;
+    case 2:
+      EXPECT_EQ(Gen.update_by_tile(Tile, Vals[0], Vals[1], Vals[2]), Present);
+      if (Present)
+        Oracle[Tile] = Vals;
+      break;
+    }
+    ASSERT_EQ(Gen.size(), Oracle.size());
+    for (int64_t State = 0; State != 3; ++State) {
+      std::set<std::array<int64_t, 3>> Got, Want;
+      Gen.by_state(State, [&](int64_t T, int64_t Size, int64_t Stamp) {
+        EXPECT_TRUE(Got.insert({T, Size, Stamp}).second);
+      });
+      for (const auto &[T, V] : Oracle)
+        if (V[0] == State)
+          Want.insert({T, V[1], V[2]});
+      ASSERT_EQ(Got, Want) << "state " << State << ", step " << Step;
+    }
+  }
 }
 
 } // namespace

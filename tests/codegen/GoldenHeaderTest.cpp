@@ -45,7 +45,8 @@ namespace {
 #endif
 
 const char *const GoldenSpecs[] = {"sched_conc_ns", "sched_conc_state",
-                                   "account_tx", "settle_tri"};
+                                   "account_tx", "settle_tri",
+                                   "ztopo_tiles"};
 
 std::string goldenDir() {
   return std::string(RELC_SOURCE_DIR) + "/tests/codegen/golden/";
@@ -170,13 +171,32 @@ TEST(GoldenHeaderTest, DeadIndexEliminationShrinksSettleTri) {
 }
 
 TEST(GoldenHeaderTest, FullyRequestedSpecsAreUnchangedByOptimization) {
-  // Every method of the sched_conc_* specs is requested or reachable:
+  // Every method of these specs is requested or reachable:
   // the optimizer must be an exact no-op on them.
-  for (const char *Spec : {"sched_conc_ns", "sched_conc_state"}) {
+  for (const char *Spec : {"sched_conc_ns", "sched_conc_state",
+                            "ztopo_tiles"}) {
     std::string NoOpt = emit(Spec, "--no-opt");
     std::string Opt = emit(Spec, "");
     EXPECT_EQ(NoOpt, Opt) << Spec;
   }
+}
+
+TEST(GoldenHeaderTest, ZtopoRemoveByTileUnlinksTheSharedNodeByNode) {
+  // z→w (member e1) is the only crossing edge into the shared w for
+  // {tile}. remove_by_tile finds w through y and unlinks it from its
+  // state's intrusive list in O(1); a key erase there would search
+  // every resident tile of that state.
+  std::string Header = emit("ztopo_tiles", "");
+  size_t Begin = Header.find("bool remove_by_tile(");
+  ASSERT_NE(Begin, std::string::npos);
+  size_t End = Header.find("bool update_by_tile(", Begin);
+  ASSERT_NE(End, std::string::npos);
+  std::string Body = Header.substr(Begin, End - Begin);
+  EXPECT_NE(Body.find("Node_w *y_w = y_y->e0.lookup(c_state);"),
+            std::string::npos)
+      << Body;
+  EXPECT_NE(Body.find("x_z->e1.eraseNode(y_w);"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("x_z->e1.erase("), std::string::npos) << Body;
 }
 
 } // namespace

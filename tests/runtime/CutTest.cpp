@@ -14,6 +14,8 @@
 #include "runtime/Cut.h"
 
 #include "decomp/Builder.h"
+#include "systems/SchedulerRelational.h"
+#include "systems/ZtopoRelational.h"
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,56 @@ TEST(CutTest, DeterminedColumnsExtendY) {
   EXPECT_TRUE(C.inY(D.nodeByName("w"))); // ns,pid,state → cpu
   EXPECT_FALSE(C.inY(D.nodeByName("y")));
   EXPECT_FALSE(C.inY(D.nodeByName("z")));
+}
+
+/// The edge From → To of \p D, by node names.
+EdgeId edgeBetween(const Decomposition &D, const char *From, const char *To) {
+  for (EdgeId E = 0; E != D.numEdges(); ++E)
+    if (D.edge(E).From == D.nodeByName(From) &&
+        D.edge(E).To == D.nodeByName(To))
+      return E;
+  ADD_FAILURE() << "no edge " << From << " -> " << To;
+  return InvalidIndex;
+}
+
+TEST(CutTest, ZtopoRemoveByTileResolvesTheSharedNodeThroughY) {
+  // ztopo's w is reached by y→w (a tile's states) and z→w (a state's
+  // tiles, an intrusive list). For {tile} the only crossing edge into w
+  // is z→w, so dremove finds w through y first (x→y, then y→w) and
+  // unlinks it from z's list with eraseNode instead of searching it.
+  Decomposition D = ZtopoRelational::makeDefaultDecomposition(
+      ZtopoRelational::makeSpec());
+  Cut C = computeCut(D, D.spec()->catalog().parseSet("tile"));
+  std::vector<EdgeId> Expected = {edgeBetween(D, "x", "y"),
+                                  edgeBetween(D, "y", "w")};
+  EXPECT_EQ(C.RemoveResolve, Expected);
+  EXPECT_EQ(C.UpdateResolve, Expected);
+}
+
+TEST(CutTest, HashFirstRemovesResolveNothingUpFront) {
+  // The scheduler's {ns, pid}: w's first crossing edge is y→w, a hash
+  // table, whose erase finds w; the later z→w break reuses it. Nothing
+  // pays for an up-front lookup, here or for {state} (x→z, y→w).
+  Decomposition D = SchedulerRelational::makeDefaultDecomposition(
+      SchedulerRelational::makeSpec());
+  const Catalog &Cat = D.spec()->catalog();
+  Cut Key = computeCut(D, Cat.parseSet("ns, pid"));
+  EXPECT_TRUE(Key.RemoveResolve.empty());
+  EXPECT_EQ(Key.UpdateResolve,
+            std::vector<EdgeId>{edgeBetween(D, "y", "w")});
+  EXPECT_TRUE(computeCut(D, Cat.parseSet("state")).RemoveResolve.empty());
+
+  // {ns} puts y above w in Y, and w's only crossing edge is the
+  // intrusive z→w list: resolved through y.
+  Cut Ns = computeCut(D, Cat.parseSet("ns"));
+  std::vector<EdgeId> Expected = {edgeBetween(D, "x", "y"),
+                                  edgeBetween(D, "y", "w")};
+  EXPECT_EQ(Ns.RemoveResolve, Expected);
+
+  // A non-intrusive list gains nothing from knowing the node.
+  Decomposition Plain = fig2(schedulerSpec());
+  EXPECT_TRUE(computeCut(Plain, Plain.spec()->catalog().parseSet("ns"))
+                  .RemoveResolve.empty());
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 
 using namespace relc;
 
@@ -120,6 +122,55 @@ TEST(ZtopoTest, MatchesBaselineOnTrace) {
   }
   WfResult Wf = Z.relation().checkWellFormed();
   EXPECT_TRUE(Wf.Ok) << Wf.Error;
+}
+
+TEST(ZtopoTest, MultiVictimEvictionsMatchBaselineInOrder) {
+  // Budgets that take many victims at once: half the bytes, zero, and
+  // one byte below the smallest tile. The relational cache must evict
+  // the same tiles as the hand-coded LRU list, oldest first.
+  struct BudgetCase {
+    const char *Name;
+    std::function<int64_t(int64_t Total, int64_t Smallest)> Budget;
+  };
+  const BudgetCase Cases[] = {
+      {"half", [](int64_t Total, int64_t) { return Total / 2; }},
+      {"zero", [](int64_t, int64_t) { return int64_t(0); }},
+      {"below smallest",
+       [](int64_t, int64_t Smallest) { return Smallest - 1; }},
+  };
+  for (const BudgetCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ZtopoRelational Z;
+    ZtopoBaseline B;
+    int64_t Smallest = INT64_MAX;
+    for (int64_t I = 0; I < 60; ++I) {
+      int64_t Size = 100 + (I * 37) % 400;
+      TileState St = I % 5 == 0 ? TileState::OnDisk : TileState::InMemory;
+      Z.addTile(I, St, Size);
+      B.addTile(I, St, Size);
+      if (St == TileState::InMemory)
+        Smallest = std::min(Smallest, Size);
+    }
+    // Refresh every third tile, newest-added first, so recency is not
+    // insertion order.
+    for (int64_t I = 59; I >= 0; I -= 3) {
+      TileState Sz, Sb;
+      ASSERT_TRUE(Z.touchTile(I, Sz));
+      ASSERT_TRUE(B.touchTile(I, Sb));
+    }
+    int64_t Budget =
+        C.Budget(Z.bytesIn(TileState::InMemory), Smallest);
+    std::vector<int64_t> Ez = Z.evictToBudget(TileState::InMemory, Budget);
+    std::vector<int64_t> Eb = B.evictToBudget(TileState::InMemory, Budget);
+    EXPECT_GT(Ez.size(), 1u);
+    EXPECT_EQ(Ez, Eb);
+    EXPECT_LE(Z.bytesIn(TileState::InMemory), Budget);
+    EXPECT_EQ(Z.bytesIn(TileState::InMemory), B.bytesIn(TileState::InMemory));
+    EXPECT_EQ(Z.bytesIn(TileState::OnDisk), B.bytesIn(TileState::OnDisk));
+    EXPECT_EQ(Z.numTiles(), B.numTiles());
+    WfResult Wf = Z.relation().checkWellFormed();
+    EXPECT_TRUE(Wf.Ok) << Wf.Error;
+  }
 }
 
 } // namespace

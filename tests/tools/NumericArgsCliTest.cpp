@@ -15,6 +15,7 @@
 
 #include "RunTool.h"
 
+#include <initializer_list>
 #include <string>
 
 namespace {
@@ -72,6 +73,89 @@ TEST(NumericArgsCliTest, BenchConcurrentRejectsMalformedNumbers) {
       runTool(BENCH_CONCURRENT_PATH, "--quick --threads 1 --shards 4", 2);
   EXPECT_TRUE(Rc == 124 || Rc == 0) << Rc << ":\n" << Out;
   EXPECT_NE(Out.find("shards: 4\n"), std::string::npos) << Out;
+#endif
+}
+
+/// Bad argument lists that must exit 2 with the usage or the flag's
+/// complaint and without running, plus one small well-formed run whose
+/// output must contain \p Ran.
+void expectStrictNumbers(const char *Path,
+                         std::initializer_list<const char *> Bad,
+                         const char *Complaint, const char *Good,
+                         const char *Ran) {
+  for (const char *Args : Bad) {
+    auto [Rc, Out] = runTool(Path, Args);
+    EXPECT_EQ(Rc, 2) << Args << ":\n" << Out;
+    EXPECT_NE(Out.find(Complaint), std::string::npos) << Args << ":\n" << Out;
+    EXPECT_EQ(Out.find(Ran), std::string::npos) << Args << ": it ran";
+  }
+  auto [Rc, Out] = runTool(Path, Good);
+  EXPECT_EQ(Rc, 0) << Good << ":\n" << Out;
+  EXPECT_NE(Out.find(Ran), std::string::npos) << Good << ":\n" << Out;
+}
+
+TEST(NumericArgsCliTest, ThttpdCacheRejectsMalformedNumbers) {
+#ifndef THTTPD_CACHE_PATH
+  GTEST_SKIP() << "examples are not built";
+#else
+  expectStrictNumbers(THTTPD_CACHE_PATH,
+                      {"abc", "12x", "0", "-5", "''", "100000001", "10 20",
+                       "--quick"},
+                      "usage:", "1000", "replaying 1000 requests");
+#endif
+}
+
+TEST(NumericArgsCliTest, ZtopoCacheRejectsMalformedNumbers) {
+#ifndef ZTOPO_CACHE_PATH
+  GTEST_SKIP() << "examples are not built";
+#else
+  expectStrictNumbers(ZTOPO_CACHE_PATH,
+                      {"abc", "2000x", "0", "-1", "99999999999999999999",
+                       "10 20"},
+                      "usage:", "2000", "replaying 2000 tile requests");
+#endif
+}
+
+TEST(NumericArgsCliTest, GraphDfsRejectsMalformedNumbers) {
+#ifndef GRAPH_DFS_PATH
+  GTEST_SKIP() << "examples are not built";
+#else
+  expectStrictNumbers(GRAPH_DFS_PATH, {"12x", "abc", "0", "4097", "6 6"},
+                      "usage:", "6", "36 nodes");
+#endif
+}
+
+TEST(NumericArgsCliTest, AutotuneDemoRejectsMalformedNumbers) {
+#ifndef AUTOTUNE_DEMO_PATH
+  GTEST_SKIP() << "examples are not built";
+#else
+  expectStrictNumbers(AUTOTUNE_DEMO_PATH,
+                      {"x", "2x", "0", "65", "2 4x", "2 0", "1 4 9"},
+                      "usage:", "1 4", "ranked");
+#endif
+}
+
+TEST(NumericArgsCliTest, AccountTransferRejectsMalformedNumbers) {
+#ifndef ACCOUNT_TRANSFER_PATH
+  GTEST_SKIP() << "examples are not built";
+#else
+  expectStrictNumbers(ACCOUNT_TRANSFER_PATH,
+                      {"--threads 2x", "--threads 0", "--threads", "--accounts",
+                       "--accounts 1", "--accounts abc --threads 2",
+                       "--transfers -1", "--transfers 1e3"},
+                      "needs an integer",
+                      "--threads 2 --accounts 8 --transfers 200",
+                      "transfers: 200 over 2 threads");
+#endif
+}
+
+TEST(NumericArgsCliTest, BenchAblationCostModelRejectsMalformedNumbers) {
+#ifndef BENCH_ABLATION_COSTMODEL_PATH
+  GTEST_SKIP() << "benches are not built";
+#else
+  expectStrictNumbers(BENCH_ABLATION_COSTMODEL_PATH,
+                      {"abc", "200x", "0", "''", "--quick", "200 1"},
+                      "usage:", "200", "(200 rows");
 #endif
 }
 
